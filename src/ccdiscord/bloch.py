@@ -84,7 +84,8 @@ class BlochForm:
 
 
 def validate_density(rho: np.ndarray) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a 4x4 matrix.
+    """Check finiteness, Hermiticity, unit trace and positivity of a
+    4x4 matrix.
 
     Returns the matrix as a complex array; raises InvalidState on
     failure.  The PSD check uses eigenvalues of the Hermitian part with
@@ -93,6 +94,8 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidState(f"expected a 4x4 matrix, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise InvalidState("matrix has a NaN or infinite entry")
     if np.max(np.abs(rho - rho.conj().T)) > HERM_TOL:
         raise InvalidState("matrix is not Hermitian")
     if abs(rho.trace().real - 1.0) > TRACE_TOL or abs(rho.trace().imag) > TRACE_TOL:

@@ -9,11 +9,15 @@ eigenvectors of K_x, K_y and l_x, l_y the top eigenvectors of
 
 the nonadaptive (product) bound uses the pair (k_x, k_y) and the
 adaptive bound the better of (k_x, l_y) and (l_x, k_y).  Two
-refinements follow: optimization over degenerate top eigenspaces, and
-optimization over all (not only top) eigenvector combinations.  An
-iterative scheme feeds the adapted directions back as inputs and
-usually converges rapidly to the CC discord; a fixed-point criterion
-detects when it cannot improve.
+refinements follow: optimization over degenerate top eigenspaces of
+K_x, K_y, and over all (not only top) eigenvectors of K_x, K_y.  Both
+rest on one fact: for a fixed k_x the best partner is the top
+eigenvector of L_y(k_x), worth lambda_max(L_y(k_x)), so the adapted
+partners of all candidates come from one stacked eigensolve
+(_best_adapted), whether or not L is degenerate.  An iterative scheme
+feeds the adapted directions back as inputs and usually converges
+rapidly to the CC discord; a fixed-point criterion detects when it
+cannot improve.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import BlochForm, from_bloch, hs_distance_sq, purity_norm_sq
+from .bloch import BlochForm, purity_norm_sq
 from .discords import (
-    cc_objective_batch,
+    _validate,
     fibonacci_hemisphere,
     is_top_degenerate,
     k_matrix_x,
@@ -73,21 +77,21 @@ class IterationTrace:
 
 
 def l_matrix_x(b: BlochForm, k_y_hat) -> np.ndarray:
-    """L_x = |x><x| + T |k_y><k_y| T^T (rank <= 2, symmetric PSD)."""
-    k = np.asarray(k_y_hat, dtype=float).reshape(3)
-    a = b.T @ k
-    return np.outer(b.x, b.x) + np.outer(a, a)
+    """L_x = |x><x| + T |k_y><k_y| T^T (rank <= 2, symmetric PSD).
+
+    ``k_y_hat`` is one direction (3,) or a stack (..., 3).
+    """
+    a = np.asarray(k_y_hat, dtype=float) @ b.T.T
+    return np.outer(b.x, b.x) + a[..., :, None] * a[..., None, :]
 
 
 def l_matrix_y(b: BlochForm, k_x_hat) -> np.ndarray:
-    """L_y = |y><y| + T^T |k_x><k_x| T (rank <= 2, symmetric PSD)."""
-    k = np.asarray(k_x_hat, dtype=float).reshape(3)
-    a = b.T.T @ k
-    return np.outer(b.y, b.y) + np.outer(a, a)
+    """L_y = |y><y| + T^T |k_x><k_x| T (rank <= 2, symmetric PSD).
 
-
-def _validate(b: BlochForm) -> None:
-    from_bloch(b, validate=True)
+    ``k_x_hat`` is one direction (3,) or a stack (..., 3).
+    """
+    a = np.asarray(k_x_hat, dtype=float) @ b.T
+    return np.outer(b.y, b.y) + a[..., :, None] * a[..., None, :]
 
 
 def _sigma_norm_sq(b: BlochForm, n: np.ndarray, m: np.ndarray) -> float:
@@ -185,13 +189,35 @@ def _pair_grid_norms(b: BlochForm, ns: np.ndarray, ms: np.ndarray) -> np.ndarray
     return 0.25 * (1.0 + xn[:, None] + ym[None, :] + c * c)
 
 
+def _best_adapted(
+    b: BlochForm, kx_cands: np.ndarray, ky_cands: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, Branch]:
+    """Best adapted pair over candidate rows for k_x (S') and k_y (S'').
+
+    For fixed k_x the best partner is the top eigenvector of L_y(k_x),
+    giving ||sigma||^2 = (1 + (k_x.x)^2 + lambda_max(L_y(k_x))) / 4, and
+    mirrored for k_y.  Every L matrix goes through one stacked eigh3
+    call.  Returns (||sigma||^2, n, m, branch); the S' branch wins ties.
+    """
+    w, v = eigh3(np.concatenate([l_matrix_y(b, kx_cands), l_matrix_x(b, ky_cands)]))
+    own = np.concatenate([kx_cands @ b.x, ky_cands @ b.y])
+    vals = own * own + w[:, 0]
+    i = int(np.argmax(vals))
+    if i < len(kx_cands):
+        return 0.25 * (1.0 + vals[i]), kx_cands[i], v[i, :, 0], Branch.S_PRIME
+    return 0.25 * (1.0 + vals[i]), v[i, :, 0], ky_cands[i - len(kx_cands)], Branch.S_DPRIME
+
+
 def degenerate_optimized_bounds(
     b: BlochForm, samples: int = CIRCLE_SAMPLES, validate: bool = True
 ) -> dict[str, BoundResult]:
     """Adaptive and nonadaptive bounds minimized over degenerate top
-    eigenvectors of K_x, K_y (and the induced L matrices).
+    eigenvectors of K_x, K_y.
 
-    For nondegenerate states this reproduces the plain bounds.
+    A degenerate top eigenspace is sampled (a circle of ``samples``
+    directions, or a half-sphere); each sample is adapted through the
+    top eigenvalue of its L matrix.  For nondegenerate states this
+    reproduces the plain bounds.
     """
     if validate:
         _validate(b)
@@ -204,56 +230,26 @@ def degenerate_optimized_bounds(
     i, j = np.unravel_index(np.argmax(norms), norms.shape)
     nub = _result(b, kx_cands[i], ky_cands[j], Branch.S_ZERO)
 
-    # adaptive: each k candidate induces its own adapted L matrix
-    best = (-np.inf, None, None, Branch.S_PRIME)
-    for kx in kx_cands:
-        ly_cands = _top_candidates(l_matrix_y(b, kx), samples, SPHERE_SAMPLES)
-        row = _pair_grid_norms(b, kx[None, :], ly_cands)[0]
-        jj = int(np.argmax(row))
-        if row[jj] > best[0]:
-            best = (row[jj], kx, ly_cands[jj], Branch.S_PRIME)
-    for ky in ky_cands:
-        lx_cands = _top_candidates(l_matrix_x(b, ky), samples, SPHERE_SAMPLES)
-        col = _pair_grid_norms(b, lx_cands, ky[None, :])[:, 0]
-        ii = int(np.argmax(col))
-        if col[ii] > best[0]:
-            best = (col[ii], lx_cands[ii], ky, Branch.S_DPRIME)
-    _, n, m, branch = best
+    _, n, m, branch = _best_adapted(b, kx_cands, ky_cands)
     aub = _result(b, n, m, branch)
-    assert aub.value <= purity + 1e-15
+    if not aub.value <= purity + 1e-15:
+        raise FloatingPointError(f"adaptive bound {aub.value} exceeds purity {purity}")
     return {"aub": aub, "nub": nub}
 
 
 def nonoptimal_optimized_aub(b: BlochForm, validate: bool = True) -> BoundResult:
     """Adaptive bound minimized over all eigenvector choices.
 
-    Loops over every eigenvector of K_x (resp. K_y), not only the top
-    one, and for each over every eigenvector of the induced L_y (resp.
-    L_x): 2 x 9 candidates for a nondegenerate state.  Degenerate
+    Tries every eigenvector of K_x (resp. K_y), not only the top one,
+    each with its best partner, the top eigenvector of the induced L_y
+    (resp. L_x): 2 x 3 candidates for a nondegenerate state.  Degenerate
     eigenspaces are sampled as in degenerate_optimized_bounds.
     """
     if validate:
         _validate(b)
-    best = (-np.inf, None, None, Branch.S_PRIME)
     kx_cands = _eigenspace_candidates(k_matrix_x(b), CIRCLE_SAMPLES, SPHERE_SAMPLES)
-    for kx in kx_cands:
-        ly_cands = _eigenspace_candidates(
-            l_matrix_y(b, kx), CIRCLE_SAMPLES, SPHERE_SAMPLES
-        )
-        row = _pair_grid_norms(b, kx[None, :], ly_cands)[0]
-        jj = int(np.argmax(row))
-        if row[jj] > best[0]:
-            best = (row[jj], kx, ly_cands[jj], Branch.S_PRIME)
     ky_cands = _eigenspace_candidates(k_matrix_y(b), CIRCLE_SAMPLES, SPHERE_SAMPLES)
-    for ky in ky_cands:
-        lx_cands = _eigenspace_candidates(
-            l_matrix_x(b, ky), CIRCLE_SAMPLES, SPHERE_SAMPLES
-        )
-        col = _pair_grid_norms(b, lx_cands, ky[None, :])[:, 0]
-        ii = int(np.argmax(col))
-        if col[ii] > best[0]:
-            best = (col[ii], lx_cands[ii], ky, Branch.S_DPRIME)
-    _, n, m, branch = best
+    _, n, m, branch = _best_adapted(b, kx_cands, ky_cands)
     return _result(b, n, m, branch)
 
 
@@ -277,9 +273,10 @@ def iterate_adaptive(
     is also reported as stalled; without an external reference value
     the two cases cannot be told apart.
 
-    With ``optimized=True`` each round also evaluates all eigenvector
-    combinations of the current matrices (the nonoptimal-measurement
-    refinement); no convergence claim is attached to that variant.
+    With ``optimized=True`` each round also tries every eigenvector of
+    the current matrices, each with its adapted partner (the
+    nonoptimal-measurement refinement); no convergence claim is
+    attached to that variant.
     """
     if validate:
         _validate(b)
@@ -302,16 +299,9 @@ def iterate_adaptive(
         s2 = _sigma_norm_sq(b, l_x, k_y)
         raw = purity - max(s1, s2)
         if optimized:
-            for kx in eigh3(k_matrix_x(b) if n == 0 else lmx)[1].T:
-                cands = _eigenspace_candidates(
-                    l_matrix_y(b, kx), CIRCLE_SAMPLES, SPHERE_SAMPLES
-                )
-                raw = min(raw, purity - _pair_grid_norms(b, kx[None, :], cands).max())
-            for ky in eigh3(k_matrix_y(b) if n == 0 else lmy)[1].T:
-                cands = _eigenspace_candidates(
-                    l_matrix_x(b, ky), CIRCLE_SAMPLES, SPHERE_SAMPLES
-                )
-                raw = min(raw, purity - _pair_grid_norms(b, cands, ky[None, :]).max())
+            kx_cands = eigh3(k_matrix_x(b) if n == 0 else lmx)[1].T
+            ky_cands = eigh3(k_matrix_y(b) if n == 0 else lmy)[1].T
+            raw = min(raw, purity - _best_adapted(b, kx_cands, ky_cands)[0])
         running = min(running, raw)
         if first_value is None:
             first_value = running

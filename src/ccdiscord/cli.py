@@ -69,7 +69,6 @@ def _optimizer_config(args) -> OptimizerConfig:
         lattice_points=args.lattice_points,
         refine_starts=args.refine_starts,
         tol=args.tol,
-        seed=args.seed,
     )
 
 
@@ -305,7 +304,6 @@ def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lattice-points", type=int, default=2048)
     p.add_argument("--refine-starts", type=int, default=8)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_state_source(p: argparse.ArgumentParser) -> None:
@@ -356,6 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true")
     p.add_argument("--preset", help="hstate for the closed-form grid check")
     p.add_argument("--p-grid", type=int, default=101)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random measurement pairs")
     _add_optimizer_flags(p)
     p.set_defaults(fn=cmd_verify)
 

@@ -46,7 +46,6 @@ class OptimizerConfig:
     lattice_points: int = 2048
     refine_starts: int = 8
     tol: float = 1e-10
-    seed: int = 0
 
 
 @dataclass

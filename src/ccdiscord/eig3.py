@@ -1,93 +1,24 @@
-"""Deterministic eigensolver for real symmetric 3x3 matrices.
+"""Eigensolver for real symmetric 3x3 matrices, single or stacked.
 
-Eigenvalues come from the analytic (trigonometric) solution of the
-characteristic cubic; eigenvectors from cross products of rows of
-M - lambda*I with pivoting.  Near degeneracy, where the analytic
-eigenvector construction loses accuracy, the solver falls back to
-LAPACK (numpy.linalg.eigh).  Eigenvalues are always returned in
-descending order with the eigenvectors as matching columns.
+A thin wrapper over LAPACK (numpy.linalg.eigh) that symmetrizes the
+input and returns eigenvalues in descending order with the
+eigenvectors as matching columns.  A stack of shape (..., 3, 3) is
+solved in one call; each matrix of the stack gets exactly the result a
+single call on it would give.  Eigenvector signs are LAPACK's; callers
+that report a direction pass it through ``canonicalize``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# relative discriminant below which the analytic path is abandoned
-_DEGEN_EPS = 1e-12
-# residual gate on analytically constructed eigenvectors
-_RESID_EPS = 1e-9
-
-
-def eigvals3(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric 3x3 matrix, descending."""
-    m = np.asarray(m, dtype=float)
-    q = m.trace() / 3.0
-    b = m - q * np.eye(3)
-    p2 = np.sum(b * b) / 6.0
-    if p2 <= 0.0:
-        return np.array([q, q, q])
-    p = np.sqrt(p2)
-    c = b / p
-    det = (
-        c[0, 0] * (c[1, 1] * c[2, 2] - c[1, 2] * c[2, 1])
-        - c[0, 1] * (c[1, 0] * c[2, 2] - c[1, 2] * c[2, 0])
-        + c[0, 2] * (c[1, 0] * c[2, 1] - c[1, 1] * c[2, 0])
-    )
-    r = np.clip(det / 2.0, -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    w0 = q + 2.0 * p * np.cos(phi)
-    w2 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    w1 = 3.0 * q - w0 - w2
-    return np.array([w0, w1, w2])
-
-
-def _vector_for(m: np.ndarray, lam: float, scale: float) -> np.ndarray | None:
-    a = m - lam * np.eye(3)
-    crosses = [
-        np.cross(a[0], a[1]),
-        np.cross(a[0], a[2]),
-        np.cross(a[1], a[2]),
-    ]
-    norms = [np.linalg.norm(c) for c in crosses]
-    k = int(np.argmax(norms))
-    if norms[k] < 1e-14 * max(scale * scale, 1e-300):
-        return None
-    v = crosses[k] / norms[k]
-    if np.linalg.norm(m @ v - lam * v) > _RESID_EPS * max(scale, 1e-300):
-        return None
-    return v
-
 
 def eigh3(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric 3x3 matrix.
+    """Eigen-decomposition of a symmetric 3x3 matrix or a stack of them.
 
-    Returns (w, V) with w descending and V[:, i] the unit eigenvector
-    for w[i].  Deterministic for a given input.
+    Returns (w, V) with w[..., :] descending and V[..., :, i] the unit
+    eigenvector for w[..., i].  Deterministic for a given input.
     """
-    m = 0.5 * (np.asarray(m, dtype=float) + np.asarray(m, dtype=float).T)
-    w = eigvals3(m)
-    scale = max(np.max(np.abs(m)), np.max(np.abs(w)), 1e-300)
-
-    gaps = np.array([w[0] - w[1], w[1] - w[2]])
-    if np.min(gaps) / scale < np.sqrt(_DEGEN_EPS):
-        return _eigh3_lapack(m)
-
-    cols = []
-    for lam in w:
-        v = _vector_for(m, lam, scale)
-        if v is None:
-            return _eigh3_lapack(m)
-        cols.append(v)
-    v_mat = np.column_stack(cols)
-    # cross-product vectors of a symmetric matrix are orthogonal up to
-    # rounding; one Gram-Schmidt pass keeps the basis clean
-    v_mat[:, 1] -= v_mat[:, 0] * (v_mat[:, 0] @ v_mat[:, 1])
-    v_mat[:, 1] /= np.linalg.norm(v_mat[:, 1])
-    v_mat[:, 2] = np.cross(v_mat[:, 0], v_mat[:, 1])
-    return w, v_mat
-
-
-def _eigh3_lapack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh(m)
-    order = [2, 1, 0]
-    return w[order], v[:, order]
+    m = np.asarray(m, dtype=float)
+    w, v = np.linalg.eigh(0.5 * (m + np.swapaxes(m, -1, -2)))
+    return w[..., ::-1], v[..., ::-1]

@@ -19,7 +19,16 @@ from ccdiscord import (
     purity_norm_sq,
     qc_discord,
 )
-from ccdiscord.presets import example1, example2, example3, h_state, werner
+from ccdiscord import bounds
+from ccdiscord.bounds import (
+    CIRCLE_SAMPLES,
+    SPHERE_SAMPLES,
+    Branch,
+    _eigenspace_candidates,
+    _pair_grid_norms,
+    _top_candidates,
+)
+from ccdiscord.presets import example1, example2, example3, h_state, random_state, werner
 
 from conftest import random_rotation
 
@@ -266,3 +275,52 @@ def test_gap_statistic_is_small(random_states):
     gaps = np.array(gaps)
     assert np.all(gaps >= -1e-9)
     assert np.median(gaps) < 1e-3
+
+
+def per_candidate_search(sampler):
+    """Brute-force reference for bounds._best_adapted: for every k
+    candidate, sample the eigenspaces of its L matrix and keep the best
+    pair, S' first and S'' only if strictly better."""
+
+    def search(b, kx_cands, ky_cands):
+        best = (-np.inf, None, None, Branch.S_PRIME)
+        for kx in kx_cands:
+            ly = sampler(l_matrix_y(b, kx), CIRCLE_SAMPLES, SPHERE_SAMPLES)
+            row = _pair_grid_norms(b, kx[None, :], ly)[0]
+            j = int(np.argmax(row))
+            if row[j] > best[0]:
+                best = (row[j], kx, ly[j], Branch.S_PRIME)
+        for ky in ky_cands:
+            lx = sampler(l_matrix_x(b, ky), CIRCLE_SAMPLES, SPHERE_SAMPLES)
+            col = _pair_grid_norms(b, lx, ky[None, :])[:, 0]
+            i = int(np.argmax(col))
+            if col[i] > best[0]:
+                best = (col[i], lx[i], ky, Branch.S_DPRIME)
+        return best
+
+    return search
+
+
+@pytest.mark.parametrize(
+    "b",
+    [h_state(p, phi) for p in (0.0, 0.3, 0.5, 0.6, 1.0) for phi in (0.0, np.pi / 2)]
+    + [random_state(4, s) for s in range(30)],
+)
+def test_best_adapted_matches_per_candidate_loop(b, monkeypatch):
+    # K spectra: simple top with a 2-fold rest (p = 0.3), 2-fold top (p = 0.6),
+    # 3-fold (p = 1/2, 1) and generic (random states)
+    deg = degenerate_optimized_bounds(b)["aub"]
+    tilde = nonoptimal_optimized_aub(b)
+    trace = iterate_adaptive(b, optimized=True)
+    monkeypatch.setattr(bounds, "_best_adapted", per_candidate_search(_top_candidates))
+    ref_deg = degenerate_optimized_bounds(b)["aub"]
+    monkeypatch.setattr(bounds, "_best_adapted", per_candidate_search(_eigenspace_candidates))
+    ref_tilde = nonoptimal_optimized_aub(b)
+    ref_trace = iterate_adaptive(b, optimized=True)
+
+    assert deg.value == pytest.approx(ref_deg.value, abs=1e-12)
+    assert tilde.value == pytest.approx(ref_tilde.value, abs=1e-12)
+    assert len(trace.steps) == len(ref_trace.steps)
+    assert (trace.stalled, trace.converged) == (ref_trace.stalled, ref_trace.converged)
+    for got, want in zip(trace.steps, ref_trace.steps):
+        assert got.value == pytest.approx(want.value, abs=1e-12)

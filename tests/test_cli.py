@@ -180,3 +180,19 @@ def test_exit_code_bad_sweep_columns():
         "--columns", "D_bogus",
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("schema", ["bloch", "matrix"])
+def test_exit_code_non_finite_state(schema, bad):
+    if schema == "bloch":
+        state = {"bloch": {"x": [bad, 0, 0], "y": [0, 0, 0], "T": [[0] * 3] * 3}}
+    else:
+        matrix = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        matrix[0][1] = [bad, 0.0]
+        state = {"matrix": matrix}
+    payload = json.dumps(state)
+    assert "NaN" in payload or "Infinity" in payload
+    proc = run_cli("compute", "--state", "-", stdin=payload)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
