@@ -14,10 +14,10 @@ K_x, K_y, and over all (not only top) eigenvectors of K_x, K_y.  Both
 rest on one fact: for a fixed k_x the best partner is the top
 eigenvector of L_y(k_x), worth lambda_max(L_y(k_x)), so the adapted
 partners of all candidates come from one stacked eigensolve
-(_best_adapted), whether or not L is degenerate.  An iterative scheme
-feeds the adapted directions back as inputs and usually converges
-rapidly to the CC discord; a fixed-point criterion detects when it
-cannot improve.
+(discords.adapt, also the step of the CC-discord ascent), whether or
+not L is degenerate.  An iterative scheme feeds the adapted directions
+back as inputs and usually converges rapidly to the CC discord; a
+fixed-point criterion detects when it cannot improve.
 """
 
 from __future__ import annotations
@@ -30,10 +30,12 @@ import numpy as np
 from .bloch import BlochForm, purity_norm_sq
 from .discords import (
     _validate,
+    adapt,
     fibonacci_hemisphere,
-    is_top_degenerate,
     k_matrix_x,
     k_matrix_y,
+    l_matrix_x,
+    l_matrix_y,
 )
 from .eig3 import eigh3
 from .measurements import MeasurementPair, canonicalize, measure_ab
@@ -76,24 +78,6 @@ class IterationTrace:
         return self.steps[-1].value
 
 
-def l_matrix_x(b: BlochForm, k_y_hat) -> np.ndarray:
-    """L_x = |x><x| + T |k_y><k_y| T^T (rank <= 2, symmetric PSD).
-
-    ``k_y_hat`` is one direction (3,) or a stack (..., 3).
-    """
-    a = np.asarray(k_y_hat, dtype=float) @ b.T.T
-    return np.outer(b.x, b.x) + a[..., :, None] * a[..., None, :]
-
-
-def l_matrix_y(b: BlochForm, k_x_hat) -> np.ndarray:
-    """L_y = |y><y| + T^T |k_x><k_x| T (rank <= 2, symmetric PSD).
-
-    ``k_x_hat`` is one direction (3,) or a stack (..., 3).
-    """
-    a = np.asarray(k_x_hat, dtype=float) @ b.T
-    return np.outer(b.y, b.y) + a[..., :, None] * a[..., None, :]
-
-
 def _sigma_norm_sq(b: BlochForm, n: np.ndarray, m: np.ndarray) -> float:
     """||sigma||^2 of the CC state from measuring along (n, m)."""
     return 0.25 * (1.0 + (n @ b.x) ** 2 + (m @ b.y) ** 2 + (n @ b.T @ m) ** 2)
@@ -130,8 +114,7 @@ def adaptive_bound(b: BlochForm, validate: bool = True) -> BoundResult:
         _validate(b)
     k_x = _top(k_matrix_x(b))
     k_y = _top(k_matrix_y(b))
-    l_y = _top(l_matrix_y(b, k_x))
-    l_x = _top(l_matrix_x(b, k_y))
+    l_y, l_x = map(canonicalize, adapt(b, k_x[None], k_y[None])[1])
     s1 = _sigma_norm_sq(b, k_x, l_y)
     s2 = _sigma_norm_sq(b, l_x, k_y)
     if s1 >= s2:
@@ -196,16 +179,15 @@ def _best_adapted(
 
     For fixed k_x the best partner is the top eigenvector of L_y(k_x),
     giving ||sigma||^2 = (1 + (k_x.x)^2 + lambda_max(L_y(k_x))) / 4, and
-    mirrored for k_y.  Every L matrix goes through one stacked eigh3
-    call.  Returns (||sigma||^2, n, m, branch); the S' branch wins ties.
+    mirrored for k_y; adapt scores every candidate in one stacked
+    eigensolve.  Returns (||sigma||^2, n, m, branch); the S' branch wins
+    ties.
     """
-    w, v = eigh3(np.concatenate([l_matrix_y(b, kx_cands), l_matrix_x(b, ky_cands)]))
-    own = np.concatenate([kx_cands @ b.x, ky_cands @ b.y])
-    vals = own * own + w[:, 0]
+    vals, partners = adapt(b, kx_cands, ky_cands)
     i = int(np.argmax(vals))
     if i < len(kx_cands):
-        return 0.25 * (1.0 + vals[i]), kx_cands[i], v[i, :, 0], Branch.S_PRIME
-    return 0.25 * (1.0 + vals[i]), v[i, :, 0], ky_cands[i - len(kx_cands)], Branch.S_DPRIME
+        return 0.25 * (1.0 + vals[i]), kx_cands[i], partners[i], Branch.S_PRIME
+    return 0.25 * (1.0 + vals[i]), partners[i], ky_cands[i - len(kx_cands)], Branch.S_DPRIME
 
 
 def degenerate_optimized_bounds(
@@ -291,16 +273,13 @@ def iterate_adaptive(
     seen: set[tuple] = set()
 
     for n in range(max_iters):
-        lmy = l_matrix_y(b, k_x)
-        lmx = l_matrix_x(b, k_y)
-        l_y = _top(lmy)
-        l_x = _top(lmx)
+        l_y, l_x = map(canonicalize, adapt(b, k_x[None], k_y[None])[1])
         s1 = _sigma_norm_sq(b, k_x, l_y)
         s2 = _sigma_norm_sq(b, l_x, k_y)
         raw = purity - max(s1, s2)
         if optimized:
-            kx_cands = eigh3(k_matrix_x(b) if n == 0 else lmx)[1].T
-            ky_cands = eigh3(k_matrix_y(b) if n == 0 else lmy)[1].T
+            kx_cands = eigh3(k_matrix_x(b) if n == 0 else l_matrix_x(b, k_y))[1].T
+            ky_cands = eigh3(k_matrix_y(b) if n == 0 else l_matrix_y(b, k_x))[1].T
             raw = min(raw, purity - _best_adapted(b, kx_cands, ky_cands)[0])
         running = min(running, raw)
         if first_value is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -32,7 +33,7 @@ from .bounds import (
     nonadaptive_bound,
     nonoptimal_optimized_aub,
 )
-from .discords import OptimizerConfig, cc_discord, cq_discord, qc_discord
+from .discords import cc_discord, cq_discord, qc_discord
 from .measurements import MeasurementPair
 from .oracle import GridSpec, check_observation2, grid_cc_discord
 from .presets import h_state, make, preset_names, random_state
@@ -64,24 +65,16 @@ def _load_input(args) -> BlochForm:
     return load_state(text)
 
 
-def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        lattice_points=args.lattice_points,
-        refine_starts=args.refine_starts,
-        tol=args.tol,
-    )
-
-
 def _vec(v: np.ndarray) -> list[float]:
     return [float(f"{c:.17g}") for c in v]
 
 
-def build_report(b: BlochForm, cfg: OptimizerConfig, max_iters: int = 50) -> dict:
+def build_report(b: BlochForm, max_iters: int = 50) -> dict:
     """Aggregate every discord and bound for one state."""
     t0 = time.perf_counter()
     da = cq_discord(b)
     db = qc_discord(b, validate=False)
-    ds = cc_discord(b, cfg, validate=False)
+    ds = cc_discord(b, validate=False)
     nub = nonadaptive_bound(b, validate=False)
     aub = adaptive_bound(b, validate=False)
     degopt = degenerate_optimized_bounds(b, validate=False)
@@ -121,7 +114,7 @@ def build_report(b: BlochForm, cfg: OptimizerConfig, max_iters: int = 50) -> dic
 
 def cmd_compute(args) -> int:
     b = _load_input(args)
-    report = build_report(b, _optimizer_config(args), max_iters=args.max_iters)
+    report = build_report(b, max_iters=args.max_iters)
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return EXIT_OK
@@ -130,12 +123,12 @@ def cmd_compute(args) -> int:
 SWEEP_COLUMNS = ["D_A", "D_B", "D_S", "D_nub", "D_aub", "D_aub_tilde", "D_S11_nub"]
 
 
-def _sweep_row(b: BlochForm, cfg: OptimizerConfig) -> dict[str, float]:
+def _sweep_row(b: BlochForm) -> dict[str, float]:
     degopt = degenerate_optimized_bounds(b)
     return {
         "D_A": cq_discord(b, validate=False).value,
         "D_B": qc_discord(b, validate=False).value,
-        "D_S": cc_discord(b, cfg, validate=False).value,
+        "D_S": cc_discord(b, validate=False).value,
         # degenerate-optimized product bound; the unoptimized one is D_S11_nub
         "D_nub": degopt["nub"].value,
         "D_aub": adaptive_bound(b, validate=False).value,
@@ -161,22 +154,21 @@ def cmd_sweep(args) -> int:
     if unknown:
         raise InvalidParameters(f"unknown columns: {sorted(unknown)}")
 
-    values = [args.start]
-    while values[-1] + args.step <= args.stop + 1e-12:
-        values.append(values[-1] + args.step)
+    # start + i*step, not repeated += step, which drifts past stop
+    count = math.floor((args.stop - args.start + 1e-12) / args.step) + 1
+    values = [min(args.start + i * args.step, args.stop) for i in range(count)]
     if args.side is not None:
         extra = []
         for v in values:
             extra.extend([v - args.side, v + args.side])
         values = sorted(v for v in set(values) | set(extra) if np.isfinite(v))
 
-    cfg = _optimizer_config(args)
     lines = ["param," + ",".join(columns)]
     for v in values:
         params = dict(fixed)
         params[args.param] = _fmt(v)
         spec = args.family + ":" + ",".join(f"{k}={p}" for k, p in params.items())
-        row = _sweep_row(make(spec), cfg)
+        row = _sweep_row(make(spec))
         lines.append(",".join([_fmt(v)] + [_fmt(row[c]) for c in columns]))
 
     text = "\n".join(lines) + "\n"
@@ -227,7 +219,6 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def cmd_verify(args) -> int:
-    cfg = _optimizer_config(args)
     failures: list[str] = []
 
     if args.preset:
@@ -237,7 +228,7 @@ def cmd_verify(args) -> int:
         for p in np.linspace(0.0, 1.0, args.p_grid):
             b = h_state(float(p), phi=np.pi / 2)
             exact = 0.25 * min(2 * p * p, 7 * p * p - 8 * p + 3)
-            got = cc_discord(b, cfg, validate=False).value
+            got = cc_discord(b, validate=False).value
             residuals.append(abs(got - exact))
             if abs(got - exact) > 1e-9:
                 failures.append(f"hstate p={p:.6f}: |D_S - closed form| = {abs(got - exact):.3g}")
@@ -252,7 +243,7 @@ def cmd_verify(args) -> int:
             b = random_state(4, seed)
             da = cq_discord(b, validate=False).value
             db = qc_discord(b, validate=False).value
-            ds = cc_discord(b, cfg, validate=False).value
+            ds = cc_discord(b, validate=False).value
             aub = adaptive_bound(b, validate=False).value
             nub = nonadaptive_bound(b, validate=False).value
             chain_ok = max(da, db) <= ds + 1e-10 <= aub + 2e-10 <= nub + 3e-10
@@ -300,12 +291,6 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
-def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lattice-points", type=int, default=2048)
-    p.add_argument("--refine-starts", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-10)
-
-
 def _add_state_source(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", help=f"one of {preset_names()} with parameters")
@@ -322,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="full report for one state")
     _add_state_source(p)
-    _add_optimizer_flags(p)
     p.add_argument("--max-iters", type=int, default=50)
     p.set_defaults(fn=cmd_compute)
 
@@ -337,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", type=float, nargs="?", const=1e-6, default=None,
                    help="also evaluate at param +- eps (default eps 1e-6)")
     p.add_argument("--output", "-o", default="-")
-    _add_optimizer_flags(p)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("iterate", help="adaptive-bound iteration trace")
@@ -356,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-grid", type=int, default=101)
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the random measurement pairs")
-    _add_optimizer_flags(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("random", help="emit a seeded random state file")

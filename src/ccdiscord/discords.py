@@ -18,9 +18,12 @@ maximization over a single unit vector: with a = T^T x_hat,
 
 where lambda_y is the top eigenvalue of the rank-two matrix
 T^T|xhat><xhat|T + |y><y| whose top eigenvector is the partner
-direction on qubit B.  The maximization runs a Fibonacci half-sphere
-lattice followed by derivative-free simplex refinement; the objective
-is continuous but only piecewise smooth, so no gradients are used.
+direction on qubit B.  The maximization seeds a Fibonacci half-sphere
+lattice and polishes the best seeds by alternating ascent: for a fixed
+direction on one qubit the best partner on the other is the top
+eigenvector of its L matrix (adapt), so alternating the two partner
+updates never decreases the objective (the monotone alternating scheme
+of De Lathauwer, De Moor and Vandewalle, SIMAX 21 (2000) 1324).
 """
 
 from __future__ import annotations
@@ -28,24 +31,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bloch import BlochForm, DegenerateTop, from_bloch, purity_norm_sq
 from .eig3 import eigh3
-from .measurements import MeasurementPair, canonicalize, measure_a, measure_b, measure_ab
+from .measurements import MeasurementPair, canonicalize, measure_a, measure_ab
 
 # relative gap under which a top eigenvalue is reported degenerate
 DEGENERACY_RTOL = 1e-9
 DEGENERACY_ATOL = 1e-12
 
-
-@dataclass
-class OptimizerConfig:
-    """Knobs for the CC-discord sphere search."""
-
-    lattice_points: int = 2048
-    refine_starts: int = 8
-    tol: float = 1e-10
+# CC-discord search: lattice size, seeds polished, cap on ascent rounds
+LATTICE_POINTS = 2048
+ASCENT_SEEDS = 8
+ASCENT_ROUNDS = 500
 
 
 @dataclass
@@ -82,6 +80,39 @@ def k_matrix_y(b: BlochForm) -> np.ndarray:
     return np.outer(b.y, b.y) + b.T.T @ b.T
 
 
+def l_matrix_x(b: BlochForm, k_y_hat) -> np.ndarray:
+    """L_x = |x><x| + T |k_y><k_y| T^T (rank <= 2, symmetric PSD).
+
+    ``k_y_hat`` is one direction (3,) or a stack (..., 3).
+    """
+    a = np.asarray(k_y_hat, dtype=float) @ b.T.T
+    return np.outer(b.x, b.x) + a[..., :, None] * a[..., None, :]
+
+
+def l_matrix_y(b: BlochForm, k_x_hat) -> np.ndarray:
+    """L_y = |y><y| + T^T |k_x><k_x| T (rank <= 2, symmetric PSD).
+
+    ``k_x_hat`` is one direction (3,) or a stack (..., 3).
+    """
+    a = np.asarray(k_x_hat, dtype=float) @ b.T
+    return np.outer(b.y, b.y) + a[..., :, None] * a[..., None, :]
+
+
+def adapt(b: BlochForm, kx: np.ndarray, ky: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best partners of fixed directions, in one stacked eigensolve.
+
+    For each row k of ``kx`` (a direction on qubit A) the best direction
+    on qubit B is the top eigenvector of L_y(k), and the pair is worth
+    (k.x)^2 + lambda_max(L_y(k)) = 4 ||sigma||^2 - 1; rows of ``ky`` are
+    mirrored through L_x.  Returns (vals, partners): the values of the
+    rows of kx followed by those of ky, and the matching partners as
+    rows (LAPACK's signs, not canonicalized).
+    """
+    w, v = eigh3(np.concatenate([l_matrix_y(b, kx), l_matrix_x(b, ky)]))
+    own = np.concatenate([kx @ b.x, ky @ b.y])
+    return own * own + w[:, 0], v[:, :, 0]
+
+
 def is_top_degenerate(w: np.ndarray) -> bool:
     return (w[0] - w[1]) < max(DEGENERACY_RTOL * abs(w[0]), DEGENERACY_ATOL)
 
@@ -108,20 +139,10 @@ def cq_discord(b: BlochForm, validate: bool = True) -> AsymDiscordResult:
 
 
 def qc_discord(b: BlochForm, validate: bool = True) -> AsymDiscordResult:
-    """QC discord D_B; the mirror of cq_discord under subsystem swap."""
-    if validate:
-        _validate(b)
-    k = k_matrix_y(b)
-    w, v = eigh3(k)
-    k_hat = canonicalize(v[:, 0])
-    return AsymDiscordResult(
-        value=0.25 * (np.trace(k) - w[0]),
-        k_hat=k_hat,
-        k_max=w[0],
-        closest_state=measure_b(b, k_hat),
-        degenerate=is_top_degenerate(w),
-        eigen_basis=[(canonicalize(v[:, i]), w[i]) for i in range(3)],
-    )
+    """QC discord D_B: cq_discord of the swapped state, swapped back."""
+    res = cq_discord(b.swap(), validate)
+    res.closest_state = res.closest_state.swap()
+    return res
 
 
 def cc_objective(b: BlochForm, x_hat) -> float:
@@ -146,7 +167,7 @@ def partner_versor(b: BlochForm, x_hat) -> np.ndarray:
 
     Raises DegenerateTop when the top eigenvalue is not simple; the CC
     objective is then flat over the degenerate subspace and callers may
-    pick any member (see cc_discord).
+    pick any member (adapt and cc_discord take LAPACK's).
     """
     x_hat = np.asarray(x_hat, dtype=float).reshape(3)
     a = b.T.T @ x_hat
@@ -155,16 +176,6 @@ def partner_versor(b: BlochForm, x_hat) -> np.ndarray:
     if is_top_degenerate(w):
         raise DegenerateTop("partner direction is not unique")
     return canonicalize(v[:, 0])
-
-
-def _partner_any(b: BlochForm, x_hat) -> np.ndarray:
-    try:
-        return partner_versor(b, x_hat)
-    except DegenerateTop:
-        a = b.T.T @ np.asarray(x_hat, dtype=float).reshape(3)
-        m = np.outer(a, a) + np.outer(b.y, b.y)
-        _, v = eigh3(m)
-        return canonicalize(v[:, 0])
 
 
 def fibonacci_hemisphere(n: int) -> np.ndarray:
@@ -181,57 +192,40 @@ def fibonacci_hemisphere(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def _sph(theta: float, phi: float) -> np.ndarray:
-    st = np.sin(theta)
-    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
+_LATTICE = fibonacci_hemisphere(LATTICE_POINTS)
+_NONE = np.empty((0, 3))
 
 
-def cc_discord(
-    b: BlochForm, cfg: OptimizerConfig | None = None, validate: bool = True
-) -> CcDiscordResult:
-    """CC discord D_S by lattice search plus local refinement."""
-    if cfg is None:
-        cfg = OptimizerConfig()
+def cc_discord(b: BlochForm, validate: bool = True) -> CcDiscordResult:
+    """CC discord D_S by lattice seeding plus alternating ascent.
+
+    The ASCENT_SEEDS best lattice directions are polished together: each
+    round moves every seed's partner m to the best for its n, then n to
+    the best for m.  No seed's value can fall, so the rounds stop once
+    none rises above its own running maximum (or after ASCENT_ROUNDS).
+    """
     if validate:
         _validate(b)
 
-    lattice = fibonacci_hemisphere(cfg.lattice_points)
-    vals = cc_objective_batch(b, lattice)
-    evals = cfg.lattice_points
+    vals = cc_objective_batch(b, _LATTICE)
+    n = _LATTICE[np.argsort(-vals)[:ASCENT_SEEDS]]
+    evals = LATTICE_POINTS
+    running = np.full(len(n), -np.inf)
+    for _ in range(ASCENT_ROUNDS):
+        _, m = adapt(b, n, _NONE)
+        vals, n = adapt(b, _NONE, m)
+        evals += 2 * len(n)
+        if not np.any(vals > running):
+            break
+        running = np.maximum(running, vals)
 
-    order = np.argsort(-vals)
-    starts = order[: max(1, cfg.refine_starts)]
-
-    best_val = -np.inf
-    best_dir = lattice[order[0]]
-    for idx in starts:
-        d = lattice[idx]
-        theta0 = float(np.arccos(np.clip(d[2], -1.0, 1.0)))
-        phi0 = float(np.arctan2(d[1], d[0]))
-
-        def neg(angles):
-            return -cc_objective(b, _sph(angles[0], angles[1]))
-
-        res = minimize(
-            neg,
-            np.array([theta0, phi0]),
-            method="Nelder-Mead",
-            options={
-                "xatol": cfg.tol,
-                "fatol": 1e-15,
-                "maxiter": 400,
-                "maxfev": 600,
-            },
-        )
-        evals += res.nfev
-        if -res.fun > best_val:
-            best_val = -res.fun
-            best_dir = _sph(res.x[0], res.x[1])
-
-    x_hat = canonicalize(best_dir / np.linalg.norm(best_dir))
-    y_hat = _partner_any(b, x_hat)
+    vals, m = adapt(b, n, _NONE)
+    evals += len(n)
+    i = int(np.argmax(vals))
+    x_hat = canonicalize(n[i])
+    y_hat = canonicalize(m[i])
     pair = MeasurementPair(x_hat, y_hat)
-    value = purity_norm_sq(b) - 0.25 * (1.0 + best_val)
+    value = purity_norm_sq(b) - 0.25 * (1.0 + vals[i])
     return CcDiscordResult(
         value=max(value, 0.0),
         x_hat=x_hat,

@@ -60,7 +60,6 @@ def test_sweep_header_and_crossing(tmp_path):
         "sweep", "--family", "hstate", "--param", "p",
         "--start", "0.4", "--stop", "0.7", "--step", "0.1",
         "--fix", "phi=0.785398", "--output", str(out),
-        "--lattice-points", "512", "--refine-starts", "4",
     )
     assert proc.returncode == 0
     lines = out.read_text().strip().splitlines()
@@ -78,7 +77,6 @@ def test_sweep_side_limits_capture_discontinuity():
         "sweep", "--family", "hstate", "--param", "p",
         "--start", "0.5", "--stop", "0.5", "--step", "1",
         "--side", "--columns", "D_aub,D_aub_tilde",
-        "--lattice-points", "512", "--refine-starts", "4",
     )
     assert proc.returncode == 0
     lines = proc.stdout.strip().splitlines()
@@ -96,7 +94,6 @@ def test_sweep_phi_invariance_of_symmetric_discord():
         "sweep", "--family", "hstate", "--param", "phi",
         "--start", "0", "--stop", "3.0", "--step", "1.0",
         "--fix", "p=0.666667", "--columns", "D_S",
-        "--lattice-points", "512", "--refine-starts", "4",
     )
     assert proc.returncode == 0
     vals = [float(l.split(",")[1]) for l in proc.stdout.strip().splitlines()[1:]]
@@ -109,10 +106,34 @@ def test_sweep_single_row_when_start_equals_stop():
     proc = run_cli(
         "sweep", "--family", "werner", "--param", "p",
         "--start", "0.5", "--stop", "0.5", "--step", "0.1",
-        "--columns", "D_S", "--lattice-points", "256", "--refine-starts", "2",
+        "--columns", "D_S",
     )
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 2
+
+
+def test_sweep_grid_ends_exactly_at_stop():
+    # repeated += 0.01 would reach p = 1.0000000000000007, past h_state's range
+    proc = run_cli(
+        "sweep", "--family", "hstate", "--param", "p",
+        "--start", "0", "--stop", "1", "--step", "0.01",
+        "--fix", "phi=1.5708", "--columns", "D_A",
+    )
+    assert proc.returncode == 0, proc.stderr
+    params = [float(l.split(",")[0]) for l in proc.stdout.strip().splitlines()[1:]]
+    assert len(params) == 101
+    assert params[-1] == 1.0
+    assert params == sorted(params)
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, ccdiscord.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_iterate_example1_jsonl():
@@ -140,7 +161,7 @@ def test_verify_small_ensemble_passes():
 def test_verify_closed_form_grid():
     proc = run_cli(
         "verify", "--preset", "hstate", "--p-grid", "11",
-        "--states", "0", "--lattice-points", "1024", "--refine-starts", "6",
+        "--states", "0",
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
 

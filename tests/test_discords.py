@@ -8,6 +8,7 @@ from ccdiscord import (
     cc_discord,
     cc_objective,
     cq_discord,
+    iterate_adaptive,
     k_matrix_x,
     k_matrix_y,
     partner_versor,
@@ -15,7 +16,7 @@ from ccdiscord import (
     qc_discord,
     random_state,
 )
-from ccdiscord.discords import OptimizerConfig, cc_objective_batch, fibonacci_hemisphere
+from ccdiscord.discords import adapt, cc_objective_batch, fibonacci_hemisphere
 from ccdiscord.presets import example1, example2, example3, h_state, werner
 
 from conftest import random_rotation, random_unit
@@ -111,6 +112,21 @@ def test_cc_objective_batch_consistent(rng, random_states):
         assert cc_objective(b, d) == pytest.approx(v, abs=1e-14)
 
 
+def test_adapt_values_and_partners(rng, random_states):
+    # each row's value is the CC objective of its direction (on the
+    # swapped state for qubit-B rows), attained at the returned partner
+    for b in random_states[:5]:
+        kx = np.array([random_unit(rng) for _ in range(4)])
+        ky = np.array([random_unit(rng) for _ in range(3)])
+        vals, partners = adapt(b, kx, ky)
+        expected = np.concatenate([cc_objective_batch(b, kx), cc_objective_batch(b.swap(), ky)])
+        assert vals == pytest.approx(expected, abs=1e-13)
+        n = np.vstack([kx, partners[4:]])
+        m = np.vstack([partners[:4], ky])
+        attained = (n @ b.x) ** 2 + (m @ b.y) ** 2 + np.einsum("ij,jk,ik->i", n, b.T, m) ** 2
+        assert attained == pytest.approx(vals, abs=1e-13)
+
+
 def test_partner_versor_t_zero():
     b = BlochForm([0.1, 0.0, 0.2], [0.3, -0.4, 0.1], np.zeros((3, 3)))
     got = partner_versor(b, [0, 0, 1])
@@ -161,6 +177,14 @@ def test_cc_objective_stationary_at_optimum(random_states):
 
 def test_cc_discord_h_state_two_thirds():
     assert cc_discord(h_state(2 / 3, 0.9)).value == pytest.approx(7 / 36, abs=1e-9)
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.9, np.pi / 2])
+@pytest.mark.parametrize("p", [0.9, 0.95, 0.99])
+def test_cc_discord_h_state_slow_ascent_tail(p, phi):
+    # toward p = 1 the alternating ascent converges ever more slowly
+    closed = 0.25 * min(2 * p * p, 7 * p * p - 8 * p + 3)
+    assert cc_discord(h_state(p, phi)).value == pytest.approx(closed, abs=1e-12)
 
 
 def test_cc_discord_example1():
@@ -268,9 +292,7 @@ def test_discord_range(random_states):
             assert -1e-12 <= v <= cap + 1e-10
 
 
-def test_optimizer_config_is_respected():
-    b = example2()
-    coarse = cc_discord(b, OptimizerConfig(lattice_points=64, refine_starts=2))
-    fine = cc_discord(b)
-    assert coarse.optimizer_evals < fine.optimizer_evals
-    assert coarse.value == pytest.approx(fine.value, abs=1e-7)
+def test_cc_discord_below_iteration():
+    # the ascent ends at or below the lowest value the adaptive iteration reaches
+    for b in [random_state(4, s) for s in range(200)]:
+        assert cc_discord(b).value <= iterate_adaptive(b).final_value + 1e-15
