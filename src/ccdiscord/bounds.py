@@ -12,12 +12,12 @@ adaptive bound the better of (k_x, l_y) and (l_x, k_y).  Two
 refinements follow: optimization over degenerate top eigenspaces of
 K_x, K_y, and over all (not only top) eigenvectors of K_x, K_y.  Both
 rest on one fact: for a fixed k_x the best partner is the top
-eigenvector of L_y(k_x), worth lambda_max(L_y(k_x)), so the adapted
-partners of all candidates come from one stacked eigensolve
-(discords.adapt, also the step of the CC-discord ascent), whether or
-not L is degenerate.  An iterative scheme feeds the adapted directions
-back as inputs and usually converges rapidly to the CC discord; a
-fixed-point criterion detects when it cannot improve.
+eigenvector of L_y(k_x), worth lambda_max(L_y(k_x)).  L has rank two,
+so the adapted partners of all candidates come in closed form from one
+batched call (discords.adapt, also the step of the CC-discord ascent),
+whether or not L is degenerate.  An iterative scheme feeds the adapted
+directions back as inputs and usually converges rapidly to the CC
+discord; a fixed-point criterion detects when it cannot improve.
 """
 
 from __future__ import annotations
@@ -164,12 +164,17 @@ def _eigenspace_candidates(mat: np.ndarray, circle: int, sphere: int) -> np.ndar
     return np.vstack(rows)
 
 
-def _pair_grid_norms(b: BlochForm, ns: np.ndarray, ms: np.ndarray) -> np.ndarray:
-    """Matrix of ||sigma||^2 over all (row of ns, row of ms) pairs."""
-    xn = (ns @ b.x) ** 2
-    ym = (ms @ b.y) ** 2
-    c = ns @ b.T @ ms.T
-    return 0.25 * (1.0 + xn[:, None] + ym[None, :] + c * c)
+def _best_product_pair(b: BlochForm, ns: np.ndarray, ms: np.ndarray) -> tuple[int, int]:
+    """Indices (i, j) of the (row of ns, row of ms) pair of largest ||sigma||^2.
+
+    Ranks 4 ||sigma||^2 - 1 = (n.T.m)^2 + (n.x)^2 + (m.y)^2 in one grid
+    array, built in place.
+    """
+    g = ns @ b.T @ ms.T
+    g *= g
+    g += ((ns @ b.x) ** 2)[:, None]
+    g += (ms @ b.y) ** 2
+    return np.unravel_index(np.argmax(g), g.shape)
 
 
 def _best_adapted(
@@ -179,8 +184,8 @@ def _best_adapted(
 
     For fixed k_x the best partner is the top eigenvector of L_y(k_x),
     giving ||sigma||^2 = (1 + (k_x.x)^2 + lambda_max(L_y(k_x))) / 4, and
-    mirrored for k_y; adapt scores every candidate in one stacked
-    eigensolve.  Returns (||sigma||^2, n, m, branch); the S' branch wins
+    mirrored for k_y; adapt scores every candidate in closed form, in
+    one batched call.  Returns (||sigma||^2, n, m, branch); the S' branch wins
     ties.
     """
     vals, partners = adapt(b, kx_cands, ky_cands)
@@ -208,8 +213,7 @@ def degenerate_optimized_bounds(
     ky_cands = _top_candidates(k_matrix_y(b), samples, SPHERE_SAMPLES)
 
     # nonadaptive: best product pair over the degenerate families
-    norms = _pair_grid_norms(b, kx_cands, ky_cands)
-    i, j = np.unravel_index(np.argmax(norms), norms.shape)
+    i, j = _best_product_pair(b, kx_cands, ky_cands)
     nub = _result(b, kx_cands[i], ky_cands[j], Branch.S_ZERO)
 
     _, n, m, branch = _best_adapted(b, kx_cands, ky_cands)

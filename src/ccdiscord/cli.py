@@ -102,6 +102,7 @@ def build_report(b: BlochForm, max_iters: int = 50) -> dict:
         "aub_branch": aub.branch.value,
         "symmetric_pair": ds.symmetric_pair,
         "optimizer_evals": ds.optimizer_evals,
+        "ascent": {"rounds": ds.ascent_rounds, "capped": ds.ascent_capped},
         "iteration": {
             "rounds": len(trace.steps),
             "final_value": trace.final_value,

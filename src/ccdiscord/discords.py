@@ -18,12 +18,15 @@ maximization over a single unit vector: with a = T^T x_hat,
 
 where lambda_y is the top eigenvalue of the rank-two matrix
 T^T|xhat><xhat|T + |y><y| whose top eigenvector is the partner
-direction on qubit B.  The maximization seeds a Fibonacci half-sphere
-lattice and polishes the best seeds by alternating ascent: for a fixed
-direction on one qubit the best partner on the other is the top
-eigenvector of its L matrix (adapt), so alternating the two partner
+direction on qubit B.  That eigenvector lies in span{y, T^T xhat}
+and comes in closed form from a 2x2 Gram matrix (adapt), so no partner
+step calls an eigensolver.  The maximization seeds a Fibonacci
+half-sphere lattice and polishes the best seeds by alternating ascent:
+for a fixed direction on one qubit the best partner on the other is
+the top eigenvector of its L matrix, so alternating the two partner
 updates never decreases the objective (the monotone alternating scheme
-of De Lathauwer, De Moor and Vandewalle, SIMAX 21 (2000) 1324).
+of De Lathauwer, De Moor and Vandewalle, SIMAX 21 (2000) 1324).  The
+result records how many rounds ran and whether the cap ended them.
 """
 
 from __future__ import annotations
@@ -68,6 +71,8 @@ class CcDiscordResult:
     closest_state: BlochForm
     optimizer_evals: int
     symmetric_pair: bool
+    ascent_rounds: int
+    ascent_capped: bool
 
 
 def k_matrix_x(b: BlochForm) -> np.ndarray:
@@ -99,18 +104,44 @@ def l_matrix_y(b: BlochForm, k_x_hat) -> np.ndarray:
 
 
 def adapt(b: BlochForm, kx: np.ndarray, ky: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best partners of fixed directions, in one stacked eigensolve.
+    """Best partners of fixed directions, in closed form.
 
     For each row k of ``kx`` (a direction on qubit A) the best direction
-    on qubit B is the top eigenvector of L_y(k), and the pair is worth
+    on qubit B is the top eigenvector of L_y(k) = |u><u| + |a><a| with
+    u = y and a = T^T k, and the pair is worth
     (k.x)^2 + lambda_max(L_y(k)) = 4 ||sigma||^2 - 1; rows of ``ky`` are
-    mirrored through L_x.  Returns (vals, partners): the values of the
-    rows of kx followed by those of ky, and the matching partners as
-    rows (LAPACK's signs, not canonicalized).
+    mirrored through L_x (u = x, a = T k).  L has rank two, so its top
+    eigenpair lives in span{u, a}: lambda = h+ + hypot(c, h-) with
+    c = a.u and h+- = (u.u +- a.a) / 2, and the eigenvector is p u + q a
+    for the top eigenvector (p, q) of the Gram matrix [[u.u, c], [c, a.a]].
+    Returns (vals, partners): the values of the rows of kx followed by
+    those of ky, and the matching unit partners as rows (signs not
+    canonicalized).
     """
-    w, v = eigh3(np.concatenate([l_matrix_y(b, kx), l_matrix_x(b, ky)]))
+    a = np.concatenate([kx @ b.T, ky @ b.T.T])
+    u = np.empty_like(a)
+    u[: len(kx)] = b.y
+    u[len(kx) :] = b.x
     own = np.concatenate([kx @ b.x, ky @ b.y])
-    return own * own + w[:, 0], v[:, :, 0]
+    uu = np.einsum("ij,ij->i", u, u)
+    aa = np.einsum("ij,ij->i", a, a)
+    c = np.einsum("ij,ij->i", a, u)
+    h_minus = 0.5 * (uu - aa)
+    r = np.hypot(c, h_minus)
+    # of the Gram matrix's two eigenvector forms take the one whose
+    # components add without cancelling
+    upper = h_minus >= 0
+    p = np.where(upper, h_minus + r, c)
+    q = np.where(upper, c, r - h_minus)
+    v = p[:, None] * u + q[:, None] * a
+    # p = q = 0 only where r = 0, an exact tie (a orthogonal to u,
+    # |a| = |u|): every unit vector of the span is a top eigenvector;
+    # take u, or e_z when L = 0
+    tie = r == 0
+    if tie.any():
+        v[tie] = np.where(uu[tie, None] > 0, u[tie], [0.0, 0.0, 1.0])
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return own * own + (0.5 * (uu + aa) + r), v
 
 
 def is_top_degenerate(w: np.ndarray) -> bool:
@@ -167,7 +198,7 @@ def partner_versor(b: BlochForm, x_hat) -> np.ndarray:
 
     Raises DegenerateTop when the top eigenvalue is not simple; the CC
     objective is then flat over the degenerate subspace and callers may
-    pick any member (adapt and cc_discord take LAPACK's).
+    pick any member (adapt takes y, or e_z when L = 0).
     """
     x_hat = np.asarray(x_hat, dtype=float).reshape(3)
     a = b.T.T @ x_hat
@@ -202,7 +233,9 @@ def cc_discord(b: BlochForm, validate: bool = True) -> CcDiscordResult:
     The ASCENT_SEEDS best lattice directions are polished together: each
     round moves every seed's partner m to the best for its n, then n to
     the best for m.  No seed's value can fall, so the rounds stop once
-    none rises above its own running maximum (or after ASCENT_ROUNDS).
+    none rises above its own running maximum, or after ASCENT_ROUNDS
+    (``ascent_capped``: the top was still rising and D_S may sit above
+    its optimum).
     """
     if validate:
         _validate(b)
@@ -211,13 +244,16 @@ def cc_discord(b: BlochForm, validate: bool = True) -> CcDiscordResult:
     n = _LATTICE[np.argsort(-vals)[:ASCENT_SEEDS]]
     evals = LATTICE_POINTS
     running = np.full(len(n), -np.inf)
-    for _ in range(ASCENT_ROUNDS):
+    for rounds in range(1, ASCENT_ROUNDS + 1):
         _, m = adapt(b, n, _NONE)
         vals, n = adapt(b, _NONE, m)
         evals += 2 * len(n)
         if not np.any(vals > running):
+            capped = False
             break
         running = np.maximum(running, vals)
+    else:
+        capped = True
 
     vals, m = adapt(b, n, _NONE)
     evals += len(n)
@@ -233,4 +269,6 @@ def cc_discord(b: BlochForm, validate: bool = True) -> CcDiscordResult:
         closest_state=measure_ab(b, pair),
         optimizer_evals=evals,
         symmetric_pair=bool(abs(x_hat @ y_hat) > 1.0 - 1e-8),
+        ascent_rounds=rounds,
+        ascent_capped=capped,
     )

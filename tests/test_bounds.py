@@ -10,6 +10,8 @@ from ccdiscord import (
     degenerate_optimized_bounds,
     hs_distance_sq,
     iterate_adaptive,
+    k_matrix_x,
+    k_matrix_y,
     l_matrix_x,
     l_matrix_y,
     measure_a,
@@ -24,8 +26,8 @@ from ccdiscord.bounds import (
     CIRCLE_SAMPLES,
     SPHERE_SAMPLES,
     Branch,
+    _best_product_pair,
     _eigenspace_candidates,
-    _pair_grid_norms,
     _top_candidates,
 )
 from ccdiscord.presets import example1, example2, example3, h_state, random_state, werner
@@ -277,6 +279,14 @@ def test_gap_statistic_is_small(random_states):
     assert np.median(gaps) < 1e-3
 
 
+def pair_grid_norms(b, ns, ms):
+    """Matrix of ||sigma||^2 over all (row of ns, row of ms) pairs."""
+    xn = (ns @ b.x) ** 2
+    ym = (ms @ b.y) ** 2
+    c = ns @ b.T @ ms.T
+    return 0.25 * (1.0 + xn[:, None] + ym[None, :] + c * c)
+
+
 def per_candidate_search(sampler):
     """Brute-force reference for bounds._best_adapted: for every k
     candidate, sample the eigenspaces of its L matrix and keep the best
@@ -286,13 +296,13 @@ def per_candidate_search(sampler):
         best = (-np.inf, None, None, Branch.S_PRIME)
         for kx in kx_cands:
             ly = sampler(l_matrix_y(b, kx), CIRCLE_SAMPLES, SPHERE_SAMPLES)
-            row = _pair_grid_norms(b, kx[None, :], ly)[0]
+            row = pair_grid_norms(b, kx[None, :], ly)[0]
             j = int(np.argmax(row))
             if row[j] > best[0]:
                 best = (row[j], kx, ly[j], Branch.S_PRIME)
         for ky in ky_cands:
             lx = sampler(l_matrix_x(b, ky), CIRCLE_SAMPLES, SPHERE_SAMPLES)
-            col = _pair_grid_norms(b, lx, ky[None, :])[:, 0]
+            col = pair_grid_norms(b, lx, ky[None, :])[:, 0]
             i = int(np.argmax(col))
             if col[i] > best[0]:
                 best = (col[i], lx[i], ky, Branch.S_DPRIME)
@@ -324,3 +334,26 @@ def test_best_adapted_matches_per_candidate_loop(b, monkeypatch):
     assert (trace.stalled, trace.converged) == (ref_trace.stalled, ref_trace.converged)
     for got, want in zip(trace.steps, ref_trace.steps):
         assert got.value == pytest.approx(want.value, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "b",
+    [h_state(p, phi) for p in (0.5, 0.6, 1.0) for phi in (0.0, np.pi / 2)]
+    + [random_state(4, s) for s in range(10)],
+)
+def test_best_product_pair_attains_double_loop_max(b):
+    # K spectra: 3-fold (p = 1/2, 1), 2-fold (p = 0.6) and generic
+    ns = _top_candidates(k_matrix_x(b), CIRCLE_SAMPLES, SPHERE_SAMPLES)
+    ms = _top_candidates(k_matrix_y(b), CIRCLE_SAMPLES, SPHERE_SAMPLES)
+    x, y, t = b.x.tolist(), b.y.tolist(), b.T.tolist()
+    ns, ms = ns.tolist(), ms.tolist()
+    tms = [[sum(t[r][k] * m[k] for k in range(3)) for r in range(3)] for m in ms]
+    yms = [(m[0] * y[0] + m[1] * y[1] + m[2] * y[2]) ** 2 for m in ms]
+
+    def norm_sq(n, tm, ym):
+        c = n[0] * tm[0] + n[1] * tm[1] + n[2] * tm[2]
+        return 0.25 * (1.0 + (n[0] * x[0] + n[1] * x[1] + n[2] * x[2]) ** 2 + ym + c * c)
+
+    best = max(norm_sq(n, tm, ym) for n in ns for tm, ym in zip(tms, yms))
+    i, j = _best_product_pair(b, np.array(ns), np.array(ms))
+    assert norm_sq(ns[i], tms[j], yms[j]) == pytest.approx(best, abs=1e-15)

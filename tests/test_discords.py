@@ -16,8 +16,16 @@ from ccdiscord import (
     qc_discord,
     random_state,
 )
-from ccdiscord.discords import adapt, cc_objective_batch, fibonacci_hemisphere
-from ccdiscord.presets import example1, example2, example3, h_state, werner
+from ccdiscord.cli import build_report
+from ccdiscord.discords import (
+    ASCENT_ROUNDS,
+    adapt,
+    cc_objective_batch,
+    fibonacci_hemisphere,
+    l_matrix_x,
+    l_matrix_y,
+)
+from ccdiscord.presets import bell_diagonal, example1, example2, example3, h_state, werner
 
 from conftest import random_rotation, random_unit
 
@@ -125,6 +133,62 @@ def test_adapt_values_and_partners(rng, random_states):
         m = np.vstack([partners[:4], ky])
         attained = (n @ b.x) ** 2 + (m @ b.y) ** 2 + np.einsum("ij,jk,ik->i", n, b.T, m) ** 2
         assert attained == pytest.approx(vals, abs=1e-13)
+
+
+E_X = np.array([[1.0, 0.0, 0.0]])
+E_Z = np.array([[0.0, 0.0, 1.0]])
+
+
+def _adapt_cases():
+    rng = np.random.default_rng(7)
+    for s in range(20):
+        k = rng.normal(size=(6, 3))
+        yield random_state(4, s), *np.split(k / np.linalg.norm(k, axis=1, keepdims=True), [3])
+    # a = T^T k parallel to u = y
+    yield BlochForm([0.0, 0.0, 0.2], [0.0, 0.0, 0.3], np.diag([0.3, -0.2, 0.5])), E_Z, E_Z
+    # a orthogonal to u with |a| = |u|: an exact tie
+    yield h_state(0.5, 0.7), E_X, E_X
+    # a = 0
+    yield BlochForm([0.1, -0.2, 0.3], [0.3, 0.2, -0.1], np.zeros((3, 3))), E_X, E_Z
+    # u = 0
+    yield bell_diagonal(-0.4, 0.3, -0.2), E_X, E_Z
+    # L = 0
+    yield BlochForm(np.zeros(3), np.zeros(3), np.zeros((3, 3))), E_X, E_Z
+
+
+@pytest.mark.parametrize("b, kx, ky", list(_adapt_cases()))
+def test_adapt_matches_lapack(b, kx, ky):
+    vals, partners = adapt(b, kx, ky)
+    mats = np.concatenate([l_matrix_y(b, kx), l_matrix_x(b, ky)])
+    own = np.concatenate([kx @ b.x, ky @ b.y])
+    lam = vals - own * own
+    assert lam == pytest.approx(np.linalg.eigvalsh(mats).max(axis=1), abs=1e-13)
+    assert np.linalg.norm(partners, axis=1) == pytest.approx(1.0, abs=1e-15)
+    rayleigh = np.einsum("ij,ijk,ik->i", partners, mats, partners)
+    assert rayleigh == pytest.approx(lam, abs=1e-13)
+
+
+@pytest.mark.parametrize("b", [random_state(4, 3), h_state(0.5, 1.3)])
+def test_adapt_and_cc_discord_make_no_eigensolve(b, monkeypatch):
+    # the partner step is closed-form: no LAPACK call on the hot path
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    adapt(b, fibonacci_hemisphere(16), fibonacci_hemisphere(9))
+    cc_discord(b)
+
+
+def test_cc_discord_reports_ascent_end():
+    # near p = 1 the objective's top flattens and the ascent hits its cap
+    flat = cc_discord(h_state(0.999, 0.4))
+    assert (flat.ascent_rounds, flat.ascent_capped) == (ASCENT_ROUNDS, True)
+    b = random_state(4, 0)
+    generic = cc_discord(b)
+    assert not generic.ascent_capped
+    assert 1 <= generic.ascent_rounds < 50
+    ascent = {"rounds": generic.ascent_rounds, "capped": False}
+    assert build_report(b)["ascent"] == ascent
 
 
 def test_partner_versor_t_zero():
