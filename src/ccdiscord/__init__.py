@@ -3,7 +3,6 @@ measurement-based upper bounds."""
 
 from .bloch import (
     BlochForm,
-    DegenerateTop,
     InvalidParameters,
     InvalidState,
     bloch_from_json_dict,
@@ -29,22 +28,18 @@ from .discords import (
     AsymDiscordResult,
     CcDiscordResult,
     cc_discord,
-    cc_objective,
     cq_discord,
     k_matrix_x,
     k_matrix_y,
     l_matrix_x,
     l_matrix_y,
-    partner_versor,
     qc_discord,
 )
 from .measurements import (
     MeasurementPair,
     canonicalize,
-    is_cc_state,
     measure_a,
     measure_ab,
-    measure_b,
     versor,
 )
 from .oracle import GridSpec, check_observation2, grid_cc_discord
@@ -60,7 +55,6 @@ __all__ = [
     "BoundResult",
     "Branch",
     "CcDiscordResult",
-    "DegenerateTop",
     "GridSpec",
     "InvalidParameters",
     "InvalidState",
@@ -69,14 +63,12 @@ __all__ = [
     "adaptive_bound",
     "canonicalize",
     "cc_discord",
-    "cc_objective",
     "check_observation2",
     "cq_discord",
     "degenerate_optimized_bounds",
     "from_bloch",
     "grid_cc_discord",
     "hs_distance_sq",
-    "is_cc_state",
     "iterate_adaptive",
     "k_matrix_x",
     "k_matrix_y",
@@ -85,10 +77,8 @@ __all__ = [
     "make",
     "measure_a",
     "measure_ab",
-    "measure_b",
     "nonadaptive_bound",
     "nonoptimal_optimized_aub",
-    "partner_versor",
     "purity_norm_sq",
     "qc_discord",
     "random_state",

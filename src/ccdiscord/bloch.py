@@ -33,10 +33,6 @@ class InvalidParameters(ValueError):
     """Raised for out-of-range preset or CLI parameters."""
 
 
-class DegenerateTop(RuntimeError):
-    """Raised when a requested top eigenvector is not unique."""
-
-
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)

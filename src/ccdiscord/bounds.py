@@ -10,14 +10,21 @@ eigenvectors of K_x, K_y and l_x, l_y the top eigenvectors of
 the nonadaptive (product) bound uses the pair (k_x, k_y) and the
 adaptive bound the better of (k_x, l_y) and (l_x, k_y).  Two
 refinements follow: optimization over degenerate top eigenspaces of
-K_x, K_y, and over all (not only top) eigenvectors of K_x, K_y.  Both
-rest on one fact: for a fixed k_x the best partner is the top
-eigenvector of L_y(k_x), worth lambda_max(L_y(k_x)).  L has rank two,
-so the adapted partners of all candidates come in closed form from one
-batched call (discords.adapt, also the step of the CC-discord ascent),
-whether or not L is degenerate.  An iterative scheme feeds the adapted
-directions back as inputs and usually converges rapidly to the CC
-discord; a fixed-point criterion detects when it cannot improve.
+K_x, K_y, and over all (not only top) eigenvectors of K_x, K_y.
+
+Every bound draws its directions from one candidate engine: _candidates
+lists the top eigenspace (or every eigenspace) of K_x and K_y, its
+eigenvalues grouped by the rule of cq_discord's ``degenerate`` flag,
+with a degenerate group sampled, and row 0 always the top eigenvector.
+Candidates are ranked as product pairs (_best_product_pair) or as
+adapted pairs (_best_adapted).  The latter rests on one fact: for a
+fixed k_x the best partner is the top eigenvector of L_y(k_x), worth
+lambda_max(L_y(k_x)).  L has rank two, so the adapted partners of all
+candidates come in closed form from one batched call (discords.adapt,
+also the step of the CC-discord ascent), whether or not L is
+degenerate.  An iterative scheme feeds the adapted directions back as
+inputs and usually converges rapidly to the CC discord; a fixed-point
+criterion detects when it cannot improve.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from .discords import (
     _validate,
     adapt,
     fibonacci_hemisphere,
+    is_top_degenerate,
     k_matrix_x,
     k_matrix_y,
     l_matrix_x,
@@ -43,6 +51,10 @@ from .measurements import MeasurementPair, canonicalize, measure_ab
 CIRCLE_SAMPLES = 360
 SPHERE_SAMPLES = 812
 _STALL_DOT = 1.0 - 1e-9
+
+_ANGLES = np.linspace(0.0, np.pi, CIRCLE_SAMPLES, endpoint=False)[:, None]
+_COS, _SIN = np.cos(_ANGLES), np.sin(_ANGLES)
+_HEMISPHERE = fibonacci_hemisphere(SPHERE_SAMPLES)
 
 
 class Branch(enum.Enum):
@@ -83,11 +95,6 @@ def _sigma_norm_sq(b: BlochForm, n: np.ndarray, m: np.ndarray) -> float:
     return 0.25 * (1.0 + (n @ b.x) ** 2 + (m @ b.y) ** 2 + (n @ b.T @ m) ** 2)
 
 
-def _top(mat: np.ndarray) -> np.ndarray:
-    _, v = eigh3(mat)
-    return canonicalize(v[:, 0])
-
-
 def _result(b: BlochForm, n: np.ndarray, m: np.ndarray, branch: Branch) -> BoundResult:
     pair = MeasurementPair(canonicalize(n), canonicalize(m))
     sigma = measure_ab(b, pair)
@@ -103,8 +110,8 @@ def nonadaptive_bound(b: BlochForm, validate: bool = True) -> BoundResult:
     """Product bound from the two independently optimal directions."""
     if validate:
         _validate(b)
-    k_x = _top(k_matrix_x(b))
-    k_y = _top(k_matrix_y(b))
+    k_x = _candidates(k_matrix_x(b))[0]
+    k_y = _candidates(k_matrix_y(b))[0]
     return _result(b, k_x, k_y, Branch.S_ZERO)
 
 
@@ -112,55 +119,34 @@ def adaptive_bound(b: BlochForm, validate: bool = True) -> BoundResult:
     """Adaptive bound: measure one side optimally, then adapt the other."""
     if validate:
         _validate(b)
-    k_x = _top(k_matrix_x(b))
-    k_y = _top(k_matrix_y(b))
-    l_y, l_x = map(canonicalize, adapt(b, k_x[None], k_y[None])[1])
-    s1 = _sigma_norm_sq(b, k_x, l_y)
-    s2 = _sigma_norm_sq(b, l_x, k_y)
-    if s1 >= s2:
-        return _result(b, k_x, l_y, Branch.S_PRIME)
-    return _result(b, l_x, k_y, Branch.S_DPRIME)
+    k_x = _candidates(k_matrix_x(b))[:1]
+    k_y = _candidates(k_matrix_y(b))[:1]
+    _, n, m, branch = _best_adapted(b, k_x, k_y)
+    return _result(b, n, m, branch)
 
 
-def _top_candidates(mat: np.ndarray, circle: int, sphere: int) -> np.ndarray:
-    """Unit vectors spanning the top eigenspace of a symmetric matrix.
+def _candidates(mat: np.ndarray, groups: str = "top") -> np.ndarray:
+    """Candidate unit vectors (rows) from the eigenspaces of a symmetric matrix.
 
-    Nondegenerate: the single top eigenvector.  Degenerate: the
-    orthonormal basis vectors plus a sampled family of their linear
-    combinations (a circle for 2-fold, a half-sphere for 3-fold).
+    Eigenvalues, in descending order, fall into groups by the rule of
+    cq_discord's ``degenerate`` flag (is_top_degenerate, applied to each
+    neighbouring pair).  A group gives its eigenvectors and, when
+    degenerate, a sampled family of their combinations: a circle of
+    CIRCLE_SAMPLES for 2-fold, a half-sphere of SPHERE_SAMPLES for
+    3-fold.  ``groups="top"`` keeps the top group, ``"all"`` every group.
+    Row 0 is the top eigenvector.
     """
     w, v = eigh3(mat)
-    gap_tol = max(1e-9 * abs(w[0]), 1e-12)
-    if w[0] - w[1] >= gap_tol:
-        return v[:, :1].T.copy()
-    if w[0] - w[2] >= gap_tol:
-        t = np.linspace(0.0, np.pi, circle, endpoint=False)
-        combos = np.outer(np.cos(t), v[:, 0]) + np.outer(np.sin(t), v[:, 1])
-        return np.vstack([v[:, 0], v[:, 1], combos])
-    return np.vstack([np.eye(3), fibonacci_hemisphere(sphere)])
-
-
-def _eigenspace_candidates(mat: np.ndarray, circle: int, sphere: int) -> np.ndarray:
-    """Candidate vectors covering every eigenspace of a symmetric matrix."""
-    w, v = eigh3(mat)
-    scale = max(abs(w[0]), abs(w[2]), 1.0)
-    gap_tol = max(1e-9 * scale, 1e-12)
-    groups: list[list[int]] = [[0]]
-    for i in (1, 2):
-        if w[i - 1] - w[i] < gap_tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    edges = [0] + [i for i in (1, 2) if not is_top_degenerate(w[i - 1 :])] + [3]
+    if groups == "top":
+        edges = edges[:2]
     rows = []
-    for g in groups:
-        rows.append(v[:, g].T)
-        if len(g) == 2:
-            t = np.linspace(0.0, np.pi, circle, endpoint=False)
-            rows.append(
-                np.outer(np.cos(t), v[:, g[0]]) + np.outer(np.sin(t), v[:, g[1]])
-            )
-        elif len(g) == 3:
-            rows.append(fibonacci_hemisphere(sphere))
+    for lo, hi in zip(edges, edges[1:]):
+        rows.append(v[:, lo:hi].T)
+        if hi - lo == 2:
+            rows.append(_COS * v[:, lo] + _SIN * v[:, lo + 1])
+        elif hi - lo == 3:
+            rows.append(_HEMISPHERE)
     return np.vstack(rows)
 
 
@@ -195,22 +181,20 @@ def _best_adapted(
     return 0.25 * (1.0 + vals[i]), partners[i], ky_cands[i - len(kx_cands)], Branch.S_DPRIME
 
 
-def degenerate_optimized_bounds(
-    b: BlochForm, samples: int = CIRCLE_SAMPLES, validate: bool = True
-) -> dict[str, BoundResult]:
+def degenerate_optimized_bounds(b: BlochForm, validate: bool = True) -> dict[str, BoundResult]:
     """Adaptive and nonadaptive bounds minimized over degenerate top
     eigenvectors of K_x, K_y.
 
-    A degenerate top eigenspace is sampled (a circle of ``samples``
-    directions, or a half-sphere); each sample is adapted through the
-    top eigenvalue of its L matrix.  For nondegenerate states this
-    reproduces the plain bounds.
+    A degenerate top eigenspace is sampled (a circle of CIRCLE_SAMPLES
+    directions, or a half-sphere of SPHERE_SAMPLES); each sample is
+    adapted through the top eigenvalue of its L matrix.  For
+    nondegenerate states this reproduces the plain bounds.
     """
     if validate:
         _validate(b)
     purity = purity_norm_sq(b)
-    kx_cands = _top_candidates(k_matrix_x(b), samples, SPHERE_SAMPLES)
-    ky_cands = _top_candidates(k_matrix_y(b), samples, SPHERE_SAMPLES)
+    kx_cands = _candidates(k_matrix_x(b))
+    ky_cands = _candidates(k_matrix_y(b))
 
     # nonadaptive: best product pair over the degenerate families
     i, j = _best_product_pair(b, kx_cands, ky_cands)
@@ -233,8 +217,8 @@ def nonoptimal_optimized_aub(b: BlochForm, validate: bool = True) -> BoundResult
     """
     if validate:
         _validate(b)
-    kx_cands = _eigenspace_candidates(k_matrix_x(b), CIRCLE_SAMPLES, SPHERE_SAMPLES)
-    ky_cands = _eigenspace_candidates(k_matrix_y(b), CIRCLE_SAMPLES, SPHERE_SAMPLES)
+    kx_cands = _candidates(k_matrix_x(b), "all")
+    ky_cands = _candidates(k_matrix_y(b), "all")
     _, n, m, branch = _best_adapted(b, kx_cands, ky_cands)
     return _result(b, n, m, branch)
 
@@ -269,8 +253,8 @@ def iterate_adaptive(
     purity = purity_norm_sq(b)
     trace = IterationTrace()
 
-    k_x = _top(k_matrix_x(b))
-    k_y = _top(k_matrix_y(b))
+    k_x = canonicalize(_candidates(k_matrix_x(b))[0])
+    k_y = canonicalize(_candidates(k_matrix_y(b))[0])
     running = np.inf
     first_value = None
     prev_value = None

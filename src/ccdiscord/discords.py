@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochForm, DegenerateTop, from_bloch, purity_norm_sq
+from .bloch import BlochForm, from_bloch, purity_norm_sq
 from .eig3 import eigh3
 from .measurements import MeasurementPair, canonicalize, measure_a, measure_ab
 
@@ -145,6 +145,9 @@ def adapt(b: BlochForm, kx: np.ndarray, ky: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def is_top_degenerate(w: np.ndarray) -> bool:
+    """True when w[0], the largest of descending eigenvalues w, is not
+    simple.  The one degeneracy rule: bounds._candidates groups every
+    neighbouring pair of eigenvalues by it."""
     return (w[0] - w[1]) < max(DEGENERACY_RTOL * abs(w[0]), DEGENERACY_ATOL)
 
 
@@ -191,22 +194,6 @@ def cc_objective_batch(b: BlochForm, dirs: np.ndarray) -> np.ndarray:
     lam = h_plus + np.sqrt(c * c + h_minus * h_minus)
     xs = dirs @ b.x
     return lam + xs * xs
-
-
-def partner_versor(b: BlochForm, x_hat) -> np.ndarray:
-    """Top eigenvector of T^T|x_hat><x_hat|T + |y><y|, canonicalized.
-
-    Raises DegenerateTop when the top eigenvalue is not simple; the CC
-    objective is then flat over the degenerate subspace and callers may
-    pick any member (adapt takes y, or e_z when L = 0).
-    """
-    x_hat = np.asarray(x_hat, dtype=float).reshape(3)
-    a = b.T.T @ x_hat
-    m = np.outer(a, a) + np.outer(b.y, b.y)
-    w, v = eigh3(m)
-    if is_top_degenerate(w):
-        raise DegenerateTop("partner direction is not unique")
-    return canonicalize(v[:, 0])
 
 
 def fibonacci_hemisphere(n: int) -> np.ndarray:

@@ -7,9 +7,9 @@ solved in one call; each matrix of the stack gets exactly the result a
 single call on it would give.  Eigenvector signs are LAPACK's; callers
 that report a direction pass it through ``canonicalize``.
 
-It serves the K matrices, the candidate bases of the bounds, the
-optimized iteration and partner_versor; the rank-two L matrices of the
-partner step (discords.adapt) are solved in closed form without it.
+It serves the K matrices, the candidate bases of the bounds and the
+optimized iteration; the rank-two L matrices of the partner step
+(discords.adapt) are solved in closed form without it.
 """
 
 from __future__ import annotations

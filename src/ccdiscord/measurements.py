@@ -73,14 +73,3 @@ def measure_ab(b: BlochForm, pair: MeasurementPair) -> BlochForm:
         m * (m @ b.y),
         (n @ b.T @ m) * np.outer(n, m),
     )
-
-
-def is_cc_state(b: BlochForm, tol: float = 1e-10) -> bool:
-    """True when some product measurement leaves the state unchanged.
-
-    Delegates to the CC-discord optimizer: the state is classical-
-    classical iff its distance to the closest CC state is below tol.
-    """
-    from .discords import cc_discord  # deferred: discords builds on this module
-
-    return cc_discord(b).value < tol

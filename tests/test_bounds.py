@@ -27,9 +27,9 @@ from ccdiscord.bounds import (
     SPHERE_SAMPLES,
     Branch,
     _best_product_pair,
-    _eigenspace_candidates,
-    _top_candidates,
+    _candidates,
 )
+from ccdiscord.discords import is_top_degenerate
 from ccdiscord.presets import example1, example2, example3, h_state, random_state, werner
 
 from conftest import random_rotation
@@ -287,21 +287,22 @@ def pair_grid_norms(b, ns, ms):
     return 0.25 * (1.0 + xn[:, None] + ym[None, :] + c * c)
 
 
-def per_candidate_search(sampler):
+def per_candidate_search(groups):
     """Brute-force reference for bounds._best_adapted: for every k
-    candidate, sample the eigenspaces of its L matrix and keep the best
-    pair, S' first and S'' only if strictly better."""
+    candidate, sample the eigenspaces of its L matrix (_candidates with
+    ``groups``) and keep the best pair, S' first and S'' only if
+    strictly better."""
 
     def search(b, kx_cands, ky_cands):
         best = (-np.inf, None, None, Branch.S_PRIME)
         for kx in kx_cands:
-            ly = sampler(l_matrix_y(b, kx), CIRCLE_SAMPLES, SPHERE_SAMPLES)
+            ly = _candidates(l_matrix_y(b, kx), groups)
             row = pair_grid_norms(b, kx[None, :], ly)[0]
             j = int(np.argmax(row))
             if row[j] > best[0]:
                 best = (row[j], kx, ly[j], Branch.S_PRIME)
         for ky in ky_cands:
-            lx = sampler(l_matrix_x(b, ky), CIRCLE_SAMPLES, SPHERE_SAMPLES)
+            lx = _candidates(l_matrix_x(b, ky), groups)
             col = pair_grid_norms(b, lx, ky[None, :])[:, 0]
             i = int(np.argmax(col))
             if col[i] > best[0]:
@@ -322,9 +323,9 @@ def test_best_adapted_matches_per_candidate_loop(b, monkeypatch):
     deg = degenerate_optimized_bounds(b)["aub"]
     tilde = nonoptimal_optimized_aub(b)
     trace = iterate_adaptive(b, optimized=True)
-    monkeypatch.setattr(bounds, "_best_adapted", per_candidate_search(_top_candidates))
+    monkeypatch.setattr(bounds, "_best_adapted", per_candidate_search("top"))
     ref_deg = degenerate_optimized_bounds(b)["aub"]
-    monkeypatch.setattr(bounds, "_best_adapted", per_candidate_search(_eigenspace_candidates))
+    monkeypatch.setattr(bounds, "_best_adapted", per_candidate_search("all"))
     ref_tilde = nonoptimal_optimized_aub(b)
     ref_trace = iterate_adaptive(b, optimized=True)
 
@@ -343,8 +344,8 @@ def test_best_adapted_matches_per_candidate_loop(b, monkeypatch):
 )
 def test_best_product_pair_attains_double_loop_max(b):
     # K spectra: 3-fold (p = 1/2, 1), 2-fold (p = 0.6) and generic
-    ns = _top_candidates(k_matrix_x(b), CIRCLE_SAMPLES, SPHERE_SAMPLES)
-    ms = _top_candidates(k_matrix_y(b), CIRCLE_SAMPLES, SPHERE_SAMPLES)
+    ns = _candidates(k_matrix_x(b))
+    ms = _candidates(k_matrix_y(b))
     x, y, t = b.x.tolist(), b.y.tolist(), b.T.tolist()
     ns, ms = ns.tolist(), ms.tolist()
     tms = [[sum(t[r][k] * m[k] for k in range(3)) for r in range(3)] for m in ms]
@@ -357,3 +358,52 @@ def test_best_product_pair_attains_double_loop_max(b):
     best = max(norm_sq(n, tm, ym) for n in ns for tm, ym in zip(tms, yms))
     i, j = _best_product_pair(b, np.array(ns), np.array(ms))
     assert norm_sq(ns[i], tms[j], yms[j]) == pytest.approx(best, abs=1e-15)
+
+
+def rotated(diag):
+    q = random_rotation(np.random.default_rng(5))
+    return q @ np.diag(diag) @ q.T
+
+
+@pytest.mark.parametrize(
+    "mat, sizes",
+    [
+        # gap 5e-10 > 1e-9 * 0.3: a simple top, as cq_discord reports it
+        (np.diag([0.3, 0.3 - 5e-10, 0.1]), [1, 1, 1]),
+        (np.diag([0.3, 0.3 - 2e-10, 0.1]), [2, 1]),
+        (np.diag([0.5, 0.2, 0.2]), [1, 2]),
+        (np.diag([0.5, 0.2, 0.1]), [1, 1, 1]),
+        (np.diag([0.3, 0.3, 0.3]), [3]),
+        (np.diag([5e-13, 0.0, 0.0]), [3]),  # below the absolute tolerance
+        (rotated([0.4, 0.4, 0.1]), [2, 1]),
+    ],
+)
+def test_candidates_group_by_degeneracy_rule(mat, sizes):
+    top, every = _candidates(mat, "top"), _candidates(mat, "all")
+    rows = {1: 1, 2: 2 + CIRCLE_SAMPLES, 3: 3 + SPHERE_SAMPLES}
+    assert len(top) == rows[sizes[0]]
+    assert len(every) == sum(rows[s] for s in sizes)
+    np.testing.assert_array_equal(every[: len(top)], top)
+
+    w = np.linalg.eigvalsh(mat)[::-1]
+    edges = np.cumsum([0] + sizes)
+    for i in (1, 2):
+        assert is_top_degenerate(w[i - 1 :]) == (i not in edges)
+    # each row is a unit vector of its group's eigenspace
+    assert np.linalg.norm(every, axis=1) == pytest.approx(1.0, abs=1e-15)
+    rayleigh = np.einsum("ij,jk,ik->i", every, mat, every)
+    assert rayleigh[0] == pytest.approx(w[0], abs=1e-15)
+    start = 0
+    for lo, hi in zip(edges, edges[1:]):
+        n = rows[hi - lo]
+        group = rayleigh[start : start + n]
+        assert np.all(group >= w[hi - 1] - 1e-15) and np.all(group <= w[lo] + 1e-15)
+        start += n
+
+
+@pytest.mark.parametrize(
+    "b", [h_state(p, 0.9) for p in (0.3, 0.5, 0.6)] + [random_state(4, s) for s in range(3)]
+)
+def test_candidates_top_matches_cq_discord_flag(b):
+    for res, mat in ((cq_discord(b), k_matrix_x(b)), (qc_discord(b), k_matrix_y(b))):
+        assert res.degenerate == (len(_candidates(mat)) > 1)

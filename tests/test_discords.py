@@ -3,15 +3,12 @@ import pytest
 
 from ccdiscord import (
     BlochForm,
-    DegenerateTop,
     InvalidState,
     cc_discord,
-    cc_objective,
     cq_discord,
     iterate_adaptive,
     k_matrix_x,
     k_matrix_y,
-    partner_versor,
     purity_norm_sq,
     qc_discord,
     random_state,
@@ -20,6 +17,7 @@ from ccdiscord.cli import build_report
 from ccdiscord.discords import (
     ASCENT_ROUNDS,
     adapt,
+    cc_objective,
     cc_objective_batch,
     fibonacci_hemisphere,
     l_matrix_x,
@@ -191,19 +189,7 @@ def test_cc_discord_reports_ascent_end():
     assert build_report(b)["ascent"] == ascent
 
 
-def test_partner_versor_t_zero():
-    b = BlochForm([0.1, 0.0, 0.2], [0.3, -0.4, 0.1], np.zeros((3, 3)))
-    got = partner_versor(b, [0, 0, 1])
-    assert abs(abs(got @ b.y) - np.linalg.norm(b.y)) < 1e-12
-
-
-def test_partner_versor_degenerate_raises():
-    b = BlochForm(np.zeros(3), np.zeros(3), np.zeros((3, 3)))
-    with pytest.raises(DegenerateTop):
-        partner_versor(b, [0, 0, 1])
-
-
-def test_partner_versor_zero_marginal_structure(rng):
+def test_cc_discord_zero_marginal_structure(rng):
     # x = 0: the optimal pair satisfies x_hat = T y_hat / |T y_hat|
     t = rng.standard_normal((3, 3))
     b_mat = np.eye(4) / 4 + 0.05 * sum(

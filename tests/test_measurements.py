@@ -5,15 +5,15 @@ from ccdiscord import (
     BlochForm,
     MeasurementPair,
     canonicalize,
+    cc_discord,
     from_bloch,
-    is_cc_state,
     measure_a,
     measure_ab,
-    measure_b,
     purity_norm_sq,
     random_state,
     to_bloch,
 )
+from ccdiscord.measurements import measure_b
 from ccdiscord.presets import example3, h_state
 
 from conftest import random_unit, sandwich_a, sandwich_b
@@ -109,16 +109,16 @@ def test_bloch_maps_match_projector_sandwich(rng, random_states):
 def test_is_cc_state_on_measured_output(rng):
     b = random_state(4, 11)
     sigma = measure_ab(b, MeasurementPair(random_unit(rng), random_unit(rng)))
-    assert is_cc_state(sigma, tol=1e-10)
+    assert cc_discord(sigma).value < 1e-10
 
 
 def test_is_cc_state_bell_false():
-    assert not is_cc_state(h_state(1.0, 0.0), tol=1e-6)
+    assert cc_discord(h_state(1.0, 0.0)).value >= 1e-6
 
 
 def test_is_cc_state_computational_diagonal():
     b = to_bloch(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
-    assert is_cc_state(b, tol=1e-10)
+    assert cc_discord(b).value < 1e-10
 
 
 def test_canonicalize():
