@@ -50,6 +50,8 @@ from .measurements import MeasurementPair, canonicalize, measure_ab
 
 CIRCLE_SAMPLES = 360
 SPHERE_SAMPLES = 812
+# cells of one block of the product-pair grid (1 MiB of float64)
+PAIR_BLOCK_CELLS = 1 << 17
 _STALL_DOT = 1.0 - 1e-9
 
 _ANGLES = np.linspace(0.0, np.pi, CIRCLE_SAMPLES, endpoint=False)[:, None]
@@ -153,14 +155,29 @@ def _candidates(mat: np.ndarray, groups: str = "top") -> np.ndarray:
 def _best_product_pair(b: BlochForm, ns: np.ndarray, ms: np.ndarray) -> tuple[int, int]:
     """Indices (i, j) of the (row of ns, row of ms) pair of largest ||sigma||^2.
 
-    Ranks 4 ||sigma||^2 - 1 = (n.T.m)^2 + (n.x)^2 + (m.y)^2 in one grid
-    array, built in place.
+    Ranks 4 ||sigma||^2 - 1 = (n.T.m)^2 + (n.x)^2 + (m.y)^2 over the
+    grid of pairs in row blocks of at most PAIR_BLOCK_CELLS cells, each
+    built in place, so memory stays bounded on the 815 x 815 grid of two
+    3-fold eigenspaces.  The running best moves only on a strictly
+    larger value: the pair is the grid's first maximum in row-major
+    order, as one np.argmax over the whole grid would pick.
     """
-    g = ns @ b.T @ ms.T
-    g *= g
-    g += ((ns @ b.x) ** 2)[:, None]
-    g += (ms @ b.y) ** 2
-    return np.unravel_index(np.argmax(g), g.shape)
+    nt = ns @ b.T
+    xs = (ns @ b.x) ** 2
+    ys = (ms @ b.y) ** 2
+    rows = max(1, PAIR_BLOCK_CELLS // len(ms))
+    block = np.empty((min(rows, len(ns)), len(ms)))
+    best, pair = -np.inf, (0, 0)
+    for lo in range(0, len(ns), rows):
+        hi = min(lo + rows, len(ns))
+        g = np.matmul(nt[lo:hi], ms.T, out=block[: hi - lo])
+        g *= g
+        g += xs[lo:hi, None]
+        g += ys
+        i, j = np.unravel_index(np.argmax(g), g.shape)
+        if g[i, j] > best:
+            best, pair = g[i, j], (lo + int(i), int(j))
+    return pair
 
 
 def _best_adapted(

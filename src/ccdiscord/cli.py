@@ -102,7 +102,12 @@ def build_report(b: BlochForm, max_iters: int = 50) -> dict:
         "aub_branch": aub.branch.value,
         "symmetric_pair": ds.symmetric_pair,
         "optimizer_evals": ds.optimizer_evals,
-        "ascent": {"rounds": ds.ascent_rounds, "capped": ds.ascent_capped},
+        "ascent": {
+            "rounds": ds.ascent_rounds,
+            "capped": ds.ascent_capped,
+            "newton_steps": ds.newton_steps,
+            "grad_norm": ds.grad_norm,
+        },
         "iteration": {
             "rounds": len(trace.steps),
             "final_value": trace.final_value,

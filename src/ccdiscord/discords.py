@@ -26,11 +26,18 @@ for a fixed direction on one qubit the best partner on the other is
 the top eigenvector of its L matrix, so alternating the two partner
 updates never decreases the objective (the monotone alternating scheme
 of De Lathauwer, De Moor and Vandewalle, SIMAX 21 (2000) 1324).  The
-result records how many rounds ran and whether the cap ended them.
+ascent converges only linearly, ever more slowly where the top of the
+objective flattens, so a short cap hands the best seed over to
+Riemannian Newton steps on the sphere (Absil, Mahony and Sepulchre,
+Optimization Algorithms on Matrix Manifolds, 2008, ch. 6), with the
+analytic gradient and Hessian of the objective.  The result records
+the ascent rounds, whether the cap ended them, the Newton steps taken
+and the tangent-gradient norm at the reported direction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +50,12 @@ from .measurements import MeasurementPair, canonicalize, measure_a, measure_ab
 DEGENERACY_RTOL = 1e-9
 DEGENERACY_ATOL = 1e-12
 
-# CC-discord search: lattice size, seeds polished, cap on ascent rounds
+# CC-discord search: lattice size, seeds polished, cap on ascent rounds,
+# cap on the Newton steps that finish the best seed
 LATTICE_POINTS = 2048
 ASCENT_SEEDS = 8
-ASCENT_ROUNDS = 500
+ASCENT_ROUNDS = 10
+NEWTON_STEPS = 3
 
 
 @dataclass
@@ -73,6 +82,8 @@ class CcDiscordResult:
     symmetric_pair: bool
     ascent_rounds: int
     ascent_capped: bool
+    newton_steps: int
+    grad_norm: float | None
 
 
 def k_matrix_x(b: BlochForm) -> np.ndarray:
@@ -212,17 +223,93 @@ def fibonacci_hemisphere(n: int) -> np.ndarray:
 
 _LATTICE = fibonacci_hemisphere(LATTICE_POINTS)
 _NONE = np.empty((0, 3))
+_E2 = np.eye(3)[:2]
+
+
+def _derivatives(b: BlochForm, n: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Euclidean gradient g and Hessian H of the CC objective at n.
+
+    The objective is read as a function on R^3,
+    f(n) = (n.x)^2 + h+ + r with a = T^T n, c = a.y,
+    h+- = (y.y +- a.a) / 2 and r = hypot(c, h-):
+
+        g = 2 (n.x) x + T a + v,     v = (c T y - h- T a) / r,
+        H = 2 x x^T + (1 - h- / r) T T^T + (T y y^T T^T + T a a^T T^T - v v^T) / r.
+
+    Returns None where r = 0 (adapt's exact tie), where f has a kink.
+    """
+    a = n @ b.T
+    c = float(a @ b.y)
+    h_minus = 0.5 * float(b.y @ b.y - a @ a)
+    r = math.hypot(c, h_minus)
+    if r == 0:
+        return None
+    ty = b.T @ b.y
+    ta = b.T @ a
+    v = (c * ty - h_minus * ta) / r
+    g = 2.0 * float(n @ b.x) * b.x + ta + v
+    w = np.stack([b.x, ty, ta, v])
+    h = (1.0 - h_minus / r) * (b.T @ b.T.T) + (w.T * [2.0, 1.0 / r, 1.0 / r, -1.0 / r]) @ w
+    return g, h
+
+
+def _newton(b: BlochForm, n: np.ndarray, f: float, m: np.ndarray):
+    """Riemannian Newton steps on the sphere from unit n, worth f with partner m.
+
+    Each step solves (B^T H B - (n.g) I) eta = -B^T g in an orthonormal
+    tangent basis B and retracts n + B eta onto the sphere; the step is
+    taken only if adapt's value of the new point rises above f.  Stops
+    after NEWTON_STEPS steps, at the first step that does not rise, or
+    where r = 0 or the tangent system is singular, keeping the last
+    point.  Returns (n, f, m, steps taken, points tried, tangent-gradient
+    norm at n or None where r = 0).
+    """
+    steps = tried = 0
+    while True:
+        d = _derivatives(b, n)
+        if d is None:
+            return n, f, m, steps, tried, None
+        g, h = d
+        # rows 0, 1 of the Householder reflection that maps n to -+e_z
+        w = n.copy()
+        w[2] += math.copysign(1.0, n[2])
+        basis = _E2 - np.outer(w[:2], w) / (1.0 + abs(n[2]))
+        tg0, tg1 = (basis @ g).tolist()
+        (h00, h01), (h10, h11) = (basis @ h @ basis.T).tolist()
+        ng = float(n @ g)
+        h00 -= ng
+        h11 -= ng
+        grad_norm = math.hypot(tg0, tg1)
+        det = h00 * h11 - h01 * h10
+        singular = not abs(det) > 1e-14 * max(abs(h00), abs(h01), abs(h11)) ** 2
+        if steps == NEWTON_STEPS or singular:
+            return n, f, m, steps, tried, grad_norm
+        eta = np.array([h01 * tg1 - h11 * tg0, h10 * tg0 - h00 * tg1]) / det
+        trial = n + eta @ basis
+        trial /= np.linalg.norm(trial)
+        vals, partners = adapt(b, trial[None], _NONE)
+        tried += 1
+        if not vals[0] > f:
+            return n, f, m, steps, tried, grad_norm
+        n, f, m = trial, vals[0], partners[0]
+        steps += 1
 
 
 def cc_discord(b: BlochForm, validate: bool = True) -> CcDiscordResult:
-    """CC discord D_S by lattice seeding plus alternating ascent.
+    """CC discord D_S by lattice seeding, alternating ascent and Newton.
 
     The ASCENT_SEEDS best lattice directions are polished together: each
     round moves every seed's partner m to the best for its n, then n to
     the best for m.  No seed's value can fall, so the rounds stop once
-    none rises above its own running maximum, or after ASCENT_ROUNDS
-    (``ascent_capped``: the top was still rising and D_S may sit above
-    its optimum).
+    none rises above its own running maximum, or after the short cap of
+    ASCENT_ROUNDS (``ascent_capped``: the top was still rising when the
+    ascent handed over).  The best seed is then finished by up to
+    NEWTON_STEPS Riemannian Newton steps (_newton), each taken only if
+    the objective rises; ``newton_steps`` counts those taken and
+    ``grad_norm`` is the tangent-gradient norm of the objective at the
+    reported x_hat (None where the objective has a kink there).
+    ``optimizer_evals`` counts lattice points, ascent partners and
+    Newton points tried.
     """
     if validate:
         _validate(b)
@@ -245,10 +332,12 @@ def cc_discord(b: BlochForm, validate: bool = True) -> CcDiscordResult:
     vals, m = adapt(b, n, _NONE)
     evals += len(n)
     i = int(np.argmax(vals))
-    x_hat = canonicalize(n[i])
-    y_hat = canonicalize(m[i])
+    n_i, f, m_i, steps, tried, grad_norm = _newton(b, n[i], vals[i], m[i])
+    evals += tried
+    x_hat = canonicalize(n_i)
+    y_hat = canonicalize(m_i)
     pair = MeasurementPair(x_hat, y_hat)
-    value = purity_norm_sq(b) - 0.25 * (1.0 + vals[i])
+    value = purity_norm_sq(b) - 0.25 * (1.0 + f)
     return CcDiscordResult(
         value=max(value, 0.0),
         x_hat=x_hat,
@@ -258,4 +347,6 @@ def cc_discord(b: BlochForm, validate: bool = True) -> CcDiscordResult:
         symmetric_pair=bool(abs(x_hat @ y_hat) > 1.0 - 1e-8),
         ascent_rounds=rounds,
         ascent_capped=capped,
+        newton_steps=steps,
+        grad_norm=grad_norm,
     )

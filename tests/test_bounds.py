@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -358,6 +360,40 @@ def test_best_product_pair_attains_double_loop_max(b):
     best = max(norm_sq(n, tm, ym) for n in ns for tm, ym in zip(tms, yms))
     i, j = _best_product_pair(b, np.array(ns), np.array(ms))
     assert norm_sq(ns[i], tms[j], yms[j]) == pytest.approx(best, abs=1e-15)
+
+
+@pytest.mark.parametrize("cells", [4096, bounds.PAIR_BLOCK_CELLS])
+@pytest.mark.parametrize(
+    "b", [h_state(0.5, 0.7), h_state(1.0, 0.0), h_state(0.6, 0.2), random_state(4, 1)]
+)
+def test_best_product_pair_block_scan_matches_full_argmax(b, cells, monkeypatch):
+    # tied maxima on the 3-fold families (p = 1/2, 1): the block scan
+    # must keep the grid's first maximum.  Blocks of one row would go
+    # through a vector-matrix product, whose rounding may differ from the
+    # rows of the whole grid; these sizes give 5 and 160 rows per block
+    # on the 815-column grids.
+    monkeypatch.setattr(bounds, "PAIR_BLOCK_CELLS", cells)
+    ns = _candidates(k_matrix_x(b))
+    ms = _candidates(k_matrix_y(b))
+    g = ns @ b.T @ ms.T
+    g *= g
+    g += ((ns @ b.x) ** 2)[:, None]
+    g += (ms @ b.y) ** 2
+    assert _best_product_pair(b, ns, ms) == np.unravel_index(np.argmax(g), g.shape)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_degenerate_optimized_bounds_memory_is_bounded(p):
+    # two 3-fold eigenspaces give an 815 x 815 pair grid (5.3 MB whole)
+    b = h_state(p, 0.7)
+    degenerate_optimized_bounds(b)
+    tracemalloc.start()
+    try:
+        degenerate_optimized_bounds(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def rotated(diag):

@@ -16,6 +16,9 @@ from ccdiscord import (
 from ccdiscord.cli import build_report
 from ccdiscord.discords import (
     ASCENT_ROUNDS,
+    NEWTON_STEPS,
+    _derivatives,
+    _newton,
     adapt,
     cc_objective,
     cc_objective_batch,
@@ -178,15 +181,114 @@ def test_adapt_and_cc_discord_make_no_eigensolve(b, monkeypatch):
 
 
 def test_cc_discord_reports_ascent_end():
-    # near p = 1 the objective's top flattens and the ascent hits its cap
-    flat = cc_discord(h_state(0.999, 0.4))
-    assert (flat.ascent_rounds, flat.ascent_capped) == (ASCENT_ROUNDS, True)
+    # near p = 1 the objective's top flattens: the ascent hits its short
+    # cap and Newton steps finish the best seed
+    p = 0.999
+    flat = cc_discord(h_state(p, 0.4))
+    assert flat.ascent_capped
+    assert flat.newton_steps >= 1
+    assert flat.grad_norm < 1e-9
+    closed = 0.25 * min(2 * p * p, 7 * p * p - 8 * p + 3)
+    assert flat.value == pytest.approx(closed, abs=1e-15)
     b = random_state(4, 0)
     generic = cc_discord(b)
-    assert not generic.ascent_capped
-    assert 1 <= generic.ascent_rounds < 50
-    ascent = {"rounds": generic.ascent_rounds, "capped": False}
+    assert 1 <= generic.ascent_rounds <= ASCENT_ROUNDS
+    assert 0 <= generic.newton_steps <= NEWTON_STEPS
+    ascent = {
+        "rounds": generic.ascent_rounds,
+        "capped": generic.ascent_capped,
+        "newton_steps": generic.newton_steps,
+        "grad_norm": generic.grad_norm,
+    }
     assert build_report(b)["ascent"] == ascent
+
+
+def _unit(rng):
+    v = rng.standard_normal(3)
+    return v / np.linalg.norm(v)
+
+
+def _tangent_basis(n):
+    # any orthonormal basis of the plane orthogonal to n
+    return np.linalg.svd(n[None])[2][1:]
+
+
+NEWTON_STATES = [random_state(4, s) for s in range(20)] + [
+    h_state(p, phi) for p in (0.3, 0.6, 0.95, 0.999) for phi in (0.0, 0.4)
+]
+
+
+@pytest.mark.parametrize("b", NEWTON_STATES)
+def test_derivatives_match_central_differences(b):
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        n = _unit(rng)
+        g, h = _derivatives(b, n)
+        # gradient of f read on R^3, from values
+        eps = 1e-6
+        steps = np.eye(3) * eps
+        fd_g = (cc_objective_batch(b, n + steps) - cc_objective_batch(b, n - steps)) / (2 * eps)
+        assert g == pytest.approx(fd_g, abs=1e-8)
+        # tangent (Riemannian) Hessian: second derivatives of f pulled
+        # back through the retraction eta -> (n + B eta) / |n + B eta|
+        basis = _tangent_basis(n)
+
+        def pulled(eta):
+            d = n + eta @ basis
+            return cc_objective(b, d / np.linalg.norm(d))
+
+        eps = 1e-4
+        fd_h = np.empty((2, 2))
+        for i in range(2):
+            for j in range(2):
+                ei, ej = np.eye(2)[i] * eps, np.eye(2)[j] * eps
+                fd_h[i, j] = (
+                    pulled(ei + ej) - pulled(ei - ej) - pulled(ej - ei) + pulled(-ei - ej)
+                ) / (4 * eps * eps)
+        tangent_h = basis @ h @ basis.T - (n @ g) * np.eye(2)
+        assert tangent_h == pytest.approx(fd_h, abs=1e-6)
+
+
+@pytest.mark.parametrize("b", NEWTON_STATES)
+def test_newton_never_lowers_objective(b):
+    rng = np.random.default_rng(11)
+    for start in [_unit(rng) for _ in range(4)] + [cc_discord(b).x_hat]:
+        (f0,), (m0,) = adapt(b, start[None], np.empty((0, 3)))
+        n, f, m, steps, tried, grad_norm = _newton(b, start, f0, m0)
+        assert f >= f0
+        assert 0 <= steps <= tried <= NEWTON_STEPS
+        # the value and partner are adapt's for the point returned
+        (f_n,), (m_n,) = adapt(b, n[None], np.empty((0, 3)))
+        assert (f, m.tolist()) == (f_n, m_n.tolist())
+        if steps == 0:
+            assert n is start and m is m0
+        assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-15)
+        assert np.isfinite(grad_norm)
+
+
+@pytest.mark.parametrize(
+    "b, n",
+    [
+        # r = 0: a = T^T e_x is orthogonal to y and as long, adapt's tie
+        (h_state(0.5, 0.7), np.array([1.0, 0.0, 0.0])),
+        # zero marginals, simple top at e_x: the step is zero
+        (bell_diagonal(-0.4, 0.3, -0.2), np.array([1.0, 0.0, 0.0])),
+        # zero marginals, T = -0.3 I: f is flat, the tangent system is 0
+        (bell_diagonal(-0.3, -0.3, -0.3), np.array([0.6, 0.0, 0.8])),
+    ],
+)
+def test_newton_keeps_point_at_kink_and_singular_system(b, n):
+    (f0,), (m0,) = adapt(b, n[None], np.empty((0, 3)))
+    got_n, f, m, steps, _, grad_norm = _newton(b, n, f0, m0)
+    assert got_n is n and m is m0
+    assert (f, steps) == (f0, 0)
+    if _derivatives(b, n) is None:
+        assert grad_norm is None
+    else:
+        assert grad_norm == pytest.approx(0.0, abs=1e-15)
+    res = cc_discord(b)
+    assert np.isfinite(res.value) and np.isfinite(res.x_hat).all() and np.isfinite(res.y_hat).all()
+    assert res.grad_norm is None or np.isfinite(res.grad_norm)
 
 
 def test_cc_discord_zero_marginal_structure(rng):
@@ -229,12 +331,17 @@ def test_cc_discord_h_state_two_thirds():
     assert cc_discord(h_state(2 / 3, 0.9)).value == pytest.approx(7 / 36, abs=1e-9)
 
 
-@pytest.mark.parametrize("phi", [0.0, 0.9, np.pi / 2])
-@pytest.mark.parametrize("p", [0.9, 0.95, 0.99])
+@pytest.mark.parametrize(
+    "p, phi",
+    [(p, phi) for p in (0.9, 0.95, 0.99) for phi in (0.0, 0.9, np.pi / 2)]
+    + [(0.995, 0.4), (0.999, 0.4)],
+)
 def test_cc_discord_h_state_slow_ascent_tail(p, phi):
-    # toward p = 1 the alternating ascent converges ever more slowly
+    # toward p = 1 the alternating ascent converges ever more slowly;
+    # Newton steps finish it, to rounding beyond p = 0.99
     closed = 0.25 * min(2 * p * p, 7 * p * p - 8 * p + 3)
-    assert cc_discord(h_state(p, phi)).value == pytest.approx(closed, abs=1e-12)
+    tol = 1e-15 if p > 0.99 else 1e-12
+    assert cc_discord(h_state(p, phi)).value == pytest.approx(closed, abs=tol)
 
 
 def test_cc_discord_example1():
